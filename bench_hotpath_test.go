@@ -77,9 +77,9 @@ func benchMessage() *msg.Message {
 	}
 }
 
-// BenchmarkNetwSend is one lossless frame: Send, transit, DeliverFrame.
-// Steady state must be allocation-free (pooled delivery records, flat
-// counters, cached WireSize).
+// BenchmarkNetwSend is one lossless frame on the canonical path: Send,
+// pending-heap push, gate pump, DeliverFrame. Steady state must be
+// allocation-free (reused heap storage, flat counters, cached WireSize).
 func BenchmarkNetwSend(b *testing.B) {
 	e := sim.NewEngine(1)
 	n := netw.New(e, netw.Config{})
@@ -435,7 +435,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		nw.Attach(1, &benchSink{})
 		nw.Attach(2, &benchSink{})
 		m := benchMessage()
-		nw.Send(1, 2, m) // warm the delivery pool and counters
+		nw.Send(1, 2, m) // warm the pending heap, event arena and counters
 		for e.Step() {
 		}
 		if n := testing.AllocsPerRun(200, func() {

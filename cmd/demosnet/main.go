@@ -1,5 +1,5 @@
 // Command demosnet boots a DEMOS/MP cluster, runs a mixed workload with a
-// mid-run migration, and (optionally) streams the protocol trace — a quick
+// mid-run migration, and (optionally) prints the protocol trace — a quick
 // way to watch the 8 migration steps, forwarding, and link updates happen.
 //
 // Usage:
@@ -22,7 +22,7 @@ import (
 
 var (
 	machines = flag.Int("machines", 3, "number of processors")
-	doTrace  = flag.Bool("trace", false, "stream the protocol trace to stderr")
+	doTrace  = flag.Bool("trace", false, "print the protocol trace to stderr after the run")
 	withFS   = flag.Bool("fs", true, "boot the four-process file system and run clients")
 	migrate  = flag.Bool("migrate", true, "migrate a worker and the file server mid-run")
 	seed     = flag.Int64("seed", 1, "simulation seed")
@@ -40,10 +40,12 @@ func main() {
 		MemSched:    true,
 		FS:          *withFS,
 	}
-	if *doTrace {
-		opts.TraceSink = os.Stderr
-	}
-	if *traceOut != "" && opts.TraceCap == 0 {
+	switch {
+	case *doTrace:
+		// Large enough that the ring never wraps: the printed trace is the
+		// whole run.
+		opts.TraceCap = 1 << 20
+	case *traceOut != "":
 		opts.TraceCap = 8192
 	}
 	c, err := demosmp.New(opts)
@@ -53,7 +55,7 @@ func main() {
 	}
 	var sampler *obs.EngineSampler
 	if *traceOut != "" {
-		sampler = obs.SampleEngine(c.Engine(), 2000)
+		sampler = obs.SampleEngine(c.EngineOfShard(0), 2000)
 	}
 
 	fmt.Printf("booted %d machines; system processes: switchboard=%v pm=%v\n",
@@ -88,8 +90,14 @@ func main() {
 		}
 	}
 	c.Run()
+	if *doTrace {
+		for _, r := range c.TraceRecords() {
+			fmt.Fprintln(os.Stderr, r.String())
+		}
+	}
 
 	fmt.Printf("\nfinished at t=%v\n", c.Now())
+	bad := 0
 	report := func(name string, pid demosmp.ProcessID, want int32) {
 		e, m, ok := c.ExitOf(pid)
 		status := "LOST"
@@ -99,6 +107,9 @@ func main() {
 			} else {
 				status = fmt.Sprintf("WRONG (%d != %d)", e.Code, want)
 			}
+		}
+		if status != "ok" {
+			bad++
 		}
 		fmt.Printf("  %-12s %v finished on %v: %s\n", name, pid, m, status)
 	}
@@ -129,12 +140,16 @@ func main() {
 		if sampler != nil {
 			samples = sampler.Samples()
 		}
-		tl := obs.BuildTimeline(c.Tracer().Records(), c.Ledger(), samples)
+		tl := obs.BuildTimeline(c.TraceRecords(), c.Ledger(), samples)
 		f, err := os.Create(*traceOut)
 		fail(err)
 		fail(tl.WriteJSON(f))
 		fail(f.Close())
 		fmt.Printf("timeline: %s (open in chrome://tracing)\n", *traceOut)
+	}
+	if bad > 0 {
+		fmt.Fprintf(os.Stderr, "demosnet: %d process(es) lost or wrong\n", bad)
+		os.Exit(1)
 	}
 }
 

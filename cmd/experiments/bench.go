@@ -4,6 +4,9 @@
 // The seed_baseline block holds the numbers measured on the pre-rewrite
 // engine (container/heap, per-event allocation, map-based netw counters)
 // and is never overwritten; every run records its speedup against it.
+// The network and kernel rows drive standalone netw.New networks, which
+// run the same canonical delivery path (pending heap + gate pump) as every
+// cluster.
 package main
 
 import (
@@ -69,6 +72,12 @@ type benchSample struct {
 	PolicyDecisionsPerSec float64 `json:"policy_decisions_per_sec,omitempty"`
 	DispatchSpeedupVsSeed float64 `json:"dispatch_speedup_vs_seed,omitempty"`
 	PingPongSpeedupVsSeed float64 `json:"pingpong_speedup_vs_seed,omitempty"`
+	// Note and Legacy mark a transition run, recorded when a tracked row
+	// moves to a different code path: the rows above measure the new path
+	// (and are what the regression gate compares against), Legacy the same
+	// rows measured on the code it replaced, on the same host.
+	Note   string       `json:"note,omitempty"`
+	Legacy *benchSample `json:"legacy,omitempty"`
 }
 
 type benchFile struct {

@@ -194,6 +194,32 @@ func e2() {
 	fmt.Println("messages, each message being in the 6-12 byte range.\"")
 }
 
+// runTimed runs c to quiescence and returns the time of the last event
+// fired. Cluster.Now after Run is the last lookahead round's deadline,
+// which can trail the last event by up to one window, so elapsed simulated
+// times are read from the fired events instead.
+func runTimed(c *demosmp.Cluster) demosmp.Time {
+	var last demosmp.Time
+	for s := 0; s < c.Shards(); s++ {
+		c.EngineOfShard(s).OnFire = func(_ string, at demosmp.Time) { last = max(last, at) }
+	}
+	c.Run()
+	for s := 0; s < c.Shards(); s++ {
+		c.EngineOfShard(s).OnFire = nil
+	}
+	return last
+}
+
+// lastExit returns when the last of pids exited.
+func lastExit(c *demosmp.Cluster, pids []demosmp.ProcessID) demosmp.Time {
+	var last demosmp.Time
+	for _, pid := range pids {
+		e, _, _ := c.ExitOf(pid)
+		last = max(last, e.At)
+	}
+	return last
+}
+
 // e3: network frames for a direct send vs one through a forwarding address.
 func e3() {
 	measure := func(through bool) (frames uint64, lat demosmp.Time) {
@@ -207,8 +233,8 @@ func e3() {
 		before := c.Stats()
 		start := c.Now()
 		c.Kernel(3).GiveMessageTo(addr.At(server, 1), addr.At(sink, 3), []byte("x"))
-		c.Run()
-		return c.Stats().Net.Frames - before.Net.Frames, c.Now() - start
+		end := runTimed(c)
+		return c.Stats().Net.Frames - before.Net.Frames, end - start
 	}
 	df, dl := measure(false)
 	ff, fl := measure(true)
@@ -284,12 +310,12 @@ func e5() {
 		sink, _ := c.Spawn(6, kernel.SpawnSpec{Body: &workload.Sink{}})
 		start := c.Now()
 		c.Kernel(6).GiveMessageTo(addr.At(server, 1), addr.At(sink, 6), []byte("x"))
-		c.Run()
+		end := runTimed(c)
 		var fb uint64
 		for _, ks := range c.Stats().PerKernel {
 			fb += ks.ForwarderBytes
 		}
-		fmt.Printf("| %d | %v | %d |\n", hops, c.Now()-start, fb)
+		fmt.Printf("| %d | %v | %d |\n", hops, end-start, fb)
 	}
 	fmt.Println("\nWith ReclaimForwarders enabled, death notices walk the chain backwards")
 	fmt.Println("and remove every forwarder (§4's proposed garbage collection; see")
@@ -312,13 +338,16 @@ func e6() {
 		}
 		c.Run()
 		allOK := true
+		var done demosmp.Time
 		for _, pid := range pids {
-			if e, _, ok := c.ExitOf(pid); !ok || e.Code != 10 {
+			e, _, ok := c.ExitOf(pid)
+			if !ok || e.Code != 10 {
 				allOK = false
 			}
+			done = max(done, e.At)
 		}
 		s := c.Stats().PerKernel[addr.MachineID(1)]
-		return c.Now(), allOK, s.Forwarded + s.ForwardedPending
+		return done, allOK, s.Forwarded + s.ForwardedPending
 	}
 	steady, okS, _ := run(false)
 	moved, okM, fwd := run(true)
@@ -346,8 +375,8 @@ func e7() {
 		before := c.Stats()
 		start := c.Now()
 		c.Kernel(3).GiveMessageTo(addr.At(server, 1), addr.At(sink, 3), []byte("x"))
-		c.Run()
-		return c.Stats().Net.Frames - before.Net.Frames, c.Now() - start
+		end := runTimed(c)
+		return c.Stats().Net.Frames - before.Net.Frames, end - start
 	}
 	ff, fl := measure(demosmp.ModeForward)
 	rf, rl := measure(demosmp.ModeReturnToSender)
@@ -369,12 +398,14 @@ func e8() {
 			opts.LoadReportEvery = 100000
 		}
 		c := cluster(opts)
+		var pids []demosmp.ProcessID
 		for j := 0; j < 6; j++ {
-			_, err := c.SpawnProgram(1, demosmp.CPUBound(400000))
+			pid, err := c.SpawnProgram(1, demosmp.CPUBound(400000))
 			die(err)
+			pids = append(pids, pid)
 		}
 		c.Run()
-		return c.Now()
+		return lastExit(c, pids)
 	}
 	static := run(false)
 	balanced := run(true)
@@ -638,8 +669,7 @@ func e16() {
 		c := cluster(demosmp.Options{Machines: 3})
 		pid, _ := c.SpawnProgram(1, demosmp.CPUBound(work))
 		c.Run()
-		_, _, _ = c.ExitOf(pid)
-		return c.Now()
+		return lastExit(c, []demosmp.ProcessID{pid})
 	}()
 	fmt.Println("| migration interval | migrations performed | completion time | slowdown |")
 	fmt.Println("|-------------------:|---------------------:|----------------:|---------:|")
@@ -668,7 +698,7 @@ func e16() {
 			die(fmt.Errorf("E16 corrupted at interval %v", interval))
 		}
 		fmt.Printf("| %v | %d | %v | %.2fx |\n",
-			interval, moves, c.Now(), float64(c.Now())/float64(baseline))
+			interval, moves, e.At, float64(e.At)/float64(baseline))
 	}
 	fmt.Println("\nEvery run produced the bit-exact result; the cost of mobility is pure")
 	fmt.Println("time: a frozen window of one transfer per move. \"A smaller relocation")
@@ -681,17 +711,24 @@ func traceCluster() *demosmp.Cluster {
 	return cluster(demosmp.Options{Machines: 3, TraceCap: 4096})
 }
 
+// printTrace prints the cluster's cat records as a fenced block.
+func printTrace(c *demosmp.Cluster, cat trace.Category) {
+	fmt.Println("```")
+	for _, r := range c.TraceRecords() {
+		if r.Cat == cat {
+			fmt.Println(r.String())
+		}
+	}
+	fmt.Println("```")
+}
+
 func f31() {
 	c := traceCluster()
 	pid, _ := c.SpawnProgram(1, demosmp.CPUBound(1<<20))
 	c.RunFor(3000)
 	die(c.Migrate(pid, 2))
 	c.Run()
-	fmt.Println("```")
-	for _, r := range c.Tracer().Filter(trace.CatMigrate) {
-		fmt.Println(r.String())
-	}
-	fmt.Println("```")
+	printTrace(c, trace.CatMigrate)
 }
 
 func f41() {
@@ -702,11 +739,7 @@ func f41() {
 	c.Run()
 	c.Kernel(3).GiveMessageTo(addr.At(server, 1), addr.At(sink, 3), []byte("x"))
 	c.Run()
-	fmt.Println("```")
-	for _, r := range c.Tracer().Filter(trace.CatForward) {
-		fmt.Println(r.String())
-	}
-	fmt.Println("```")
+	printTrace(c, trace.CatForward)
 }
 
 func f51() {
@@ -719,9 +752,5 @@ func f51() {
 	c.RunFor(5000)
 	die(c.Migrate(server, 2))
 	c.Run()
-	fmt.Println("```")
-	for _, r := range c.Tracer().Filter(trace.CatLinkUpdate) {
-		fmt.Println(r.String())
-	}
-	fmt.Println("```")
+	printTrace(c, trace.CatLinkUpdate)
 }

@@ -24,7 +24,7 @@ import (
 // an allocation gate.
 func obsExport(snapPath, tracePath string) {
 	c := cluster(demosmp.Options{Machines: 3, TraceCap: 8192})
-	sampler := obs.SampleEngine(c.Engine(), 2000)
+	sampler := obs.SampleEngine(c.EngineOfShard(0), 2000)
 
 	server, err := c.Spawn(1, kernel.SpawnSpec{Program: workload.EchoServer(80)})
 	die(err)
@@ -51,7 +51,7 @@ func obsExport(snapPath, tracePath string) {
 		fmt.Printf("wrote metrics snapshot to %s\n", snapPath)
 	}
 	if tracePath != "" {
-		tl := obs.BuildTimeline(c.Tracer().Records(), c.Ledger(), sampler.Samples())
+		tl := obs.BuildTimeline(c.TraceRecords(), c.Ledger(), sampler.Samples())
 		f, err := os.Create(tracePath)
 		die(err)
 		die(tl.WriteJSON(f))

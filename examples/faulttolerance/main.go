@@ -68,4 +68,7 @@ func main() {
 	fmt.Printf("\n%d/4 computations survived the processor failure.\n", survivors)
 	fmt.Println("(Jobs still aboard m2 at crash time are lost — migration is the")
 	fmt.Println("rescue mechanism, not a replacement for stable storage.)")
+	if survivors != len(pids) {
+		log.Fatalf("%d job(s) lost or corrupted", len(pids)-survivors)
+	}
 }

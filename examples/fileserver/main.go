@@ -65,7 +65,8 @@ func main() {
 	fmt.Printf("\nmessages forwarded during the move: %d (+ %d queued messages resent)\n",
 		s.TotalForwarded(), s.PerKernel[1].ForwardedPending)
 	fmt.Printf("link updates sent: %d\n", s.TotalLinkUpdates())
-	if allOK {
-		fmt.Println("\nno operation was lost, duplicated, or corrupted — transparency held.")
+	if !allOK {
+		log.Fatal("a client lost or corrupted an operation")
 	}
+	fmt.Println("\nno operation was lost, duplicated, or corrupted — transparency held.")
 }

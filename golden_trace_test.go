@@ -1,8 +1,10 @@
 // Golden-trace determinism test: the exact (time, seq) firing order of the
 // event engine is part of this repo's contract — the protocol tests assert
 // exact message counts, and EXPERIMENTS.md claims bit-identical reruns. The
-// golden file under testdata/ was captured on the original container/heap
-// engine; any engine rewrite must reproduce it byte for byte.
+// golden file under testdata/ was captured on the one-shard runtime
+// (canonical delivery: frames pumped by gate events that fire before normal
+// events at equal timestamps); any engine or network rewrite must
+// reproduce it byte for byte.
 //
 // Regenerate (only when the *workload* changes, never to paper over an
 // ordering change): go test -run TestGoldenTrace -update-golden
@@ -28,7 +30,8 @@ const goldenPath = "testdata/golden_trace.txt"
 
 // goldenTrace runs a seeded 4-machine migration workload — an echo server
 // with clients on three machines, migrated twice mid-conversation — and
-// returns one line per fired engine event: "<time-µs> <event-name>".
+// returns one line per fired engine event: "<time-µs> <event-name>". The
+// default Options run one shard, so shard 0's engine fires every event.
 func goldenTrace(t *testing.T) []string {
 	t.Helper()
 	c, err := demosmp.New(demosmp.Options{Machines: 4, Seed: 1983})
@@ -36,7 +39,7 @@ func goldenTrace(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	var lines []string
-	c.Engine().OnFire = func(name string, at demosmp.Time) {
+	c.EngineOfShard(0).OnFire = func(name string, at demosmp.Time) {
 		lines = append(lines, fmt.Sprintf("%d %s", uint64(at), name))
 	}
 	server, err := c.Spawn(1, kernel.SpawnSpec{Program: workload.EchoServer(60)})
@@ -65,7 +68,7 @@ func goldenTrace(t *testing.T) []string {
 }
 
 // TestGoldenTrace asserts the exact event firing sequence (names and
-// timestamps) against the trace captured before the event-engine rewrite.
+// timestamps) against the recorded golden trace.
 func TestGoldenTrace(t *testing.T) {
 	got := goldenTrace(t)
 	if *updateGolden {

@@ -25,7 +25,7 @@ type soakParams struct {
 	maxKills   int
 	chaosOn    bool
 	lossy      bool
-	shards     int  // 0 = classic single-engine runtime
+	shards     int  // 0 and 1 both mean one shard
 	parallel   bool // run shard rounds on parallel goroutines
 	// migrateSpan confines the migrating fleet (spawn sites, migration
 	// destinations, and so the probe fan-out) to machines 1..span; zero

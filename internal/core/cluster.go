@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"demosmp/internal/addr"
@@ -24,7 +23,6 @@ import (
 	"demosmp/internal/shell"
 	"demosmp/internal/sim"
 	"demosmp/internal/switchboard"
-	"demosmp/internal/trace"
 	"demosmp/internal/workload"
 )
 
@@ -43,10 +41,8 @@ type Options struct {
 	// Kernel is the per-kernel configuration template (Tracer, Registry,
 	// Machines and PMLink are filled in by the cluster).
 	Kernel kernel.Config
-	// TraceCap bounds the trace ring (0 = default).
+	// TraceCap bounds each shard's trace ring (0 = default).
 	TraceCap int
-	// TraceSink, when set, streams trace records as they happen.
-	TraceSink io.Writer
 
 	// Switchboard boots the name server on machine 1.
 	Switchboard bool
@@ -71,36 +67,24 @@ type Options struct {
 	// Programs names programs spawnable via shell/PM.
 	Programs map[string]ProgramFactory
 
-	// Shards, when >= 1, partitions machines round-robin across that many
-	// shard-local engines synchronized by conservative lookahead (see
-	// DESIGN.md §11). Zero keeps the classic single shared engine (the
-	// golden-trace configuration). Sharded clusters compose with a lossy
-	// network (LossRate > 0 arms the machine-anchored canonical ARQ) and
-	// produce bit-identical traces for any shard count; they use the
-	// canonical delivery order, which differs from the classic engine's,
-	// so compare sharded runs with sharded runs.
+	// Shards partitions machines round-robin across that many shard-local
+	// engines synchronized by conservative lookahead (see DESIGN.md §11).
+	// 0 and 1 both mean one shard; values above Machines are clamped. Every
+	// shard count yields bit-identical traces, stats and process outcomes
+	// for the same seed, lossy network and chaos injection included.
 	Shards int
 	// ShardParallel runs each shard's engine on its own goroutine inside a
 	// round — a wall-clock choice only; results are identical, including
-	// under chaos injection (the sharded injector keeps every fault's
-	// state on the shard that enforces it; see internal/chaos).
+	// under chaos injection (the injector keeps every fault's state on the
+	// shard that enforces it; see internal/chaos).
 	ShardParallel bool
 }
 
 // Cluster is a running DEMOS/MP system.
 type Cluster struct {
 	opts Options
-	eng  *sim.Engine
-	net  *netw.Network
-	tr   *trace.Tracer
 	reg  *proc.Registry
 	ks   map[addr.MachineID]*kernel.Kernel
-
-	// Observability plane: always built (registration is cold; the hot
-	// paths pay only nil-checked histogram updates), so every composed
-	// cluster can export a snapshot, a §6 ledger, and a timeline.
-	obsReg *obs.Registry
-	obsLed *obs.Ledger
 
 	// System process identities (zero if not booted).
 	SwitchboardPID addr.ProcessID
@@ -114,9 +98,7 @@ type Cluster struct {
 
 	pm *procmgr.Manager
 
-	// sh is non-nil for a sharded cluster (Options.Shards >= 1); the
-	// single-engine fields above then alias shard 0 (see shard.go).
-	sh *shardRuntime
+	shardRuntime // engines, networks, tracers and obs plane (shard.go)
 }
 
 // New builds and boots a cluster.
@@ -135,54 +117,13 @@ func New(opts Options) (*Cluster, error) {
 		ks:   map[addr.MachineID]*kernel.Kernel{},
 	}
 	c.reg = buildRegistry(opts)
-	if opts.Shards >= 1 {
-		if err := c.buildSharded(); err != nil {
-			return nil, err
-		}
-	} else if err := c.buildSingle(); err != nil {
+	if err := c.build(); err != nil {
 		return nil, err
 	}
 	if err := c.boot(); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// buildSingle constructs the classic single-engine runtime (the
-// golden-trace configuration).
-func (c *Cluster) buildSingle() error {
-	opts := c.opts
-	c.eng = sim.NewEngine(opts.Seed)
-	c.net = netw.New(c.eng, opts.Net)
-	c.tr = trace.New(c.eng.Now, opts.TraceCap)
-	if opts.TraceSink != nil {
-		c.tr.SetSink(opts.TraceSink)
-	}
-
-	kcfg := opts.Kernel
-	kcfg.Tracer = c.tr
-	kcfg.Registry = c.reg
-	kcfg.LoadReportEvery = opts.LoadReportEvery
-	if opts.Programs != nil {
-		kcfg.Programs = func(name string, args []string) (kernel.SpawnSpec, error) {
-			f, ok := opts.Programs[name]
-			if !ok {
-				return kernel.SpawnSpec{}, fmt.Errorf("core: unknown program %q", name)
-			}
-			return f(args)
-		}
-	}
-	for m := 1; m <= opts.Machines; m++ {
-		kcfg.Machines = append([]addr.MachineID(nil), machineList(opts.Machines)...)
-		c.ks[addr.MachineID(m)] = kernel.New(addr.MachineID(m), c.eng, c.net, kcfg)
-	}
-	c.obsReg = obs.NewRegistry()
-	c.obsLed = obs.NewLedger()
-	for m := 1; m <= opts.Machines; m++ {
-		c.ks[addr.MachineID(m)].SetObs(c.obsReg, c.obsLed)
-	}
-	c.net.RegisterObs(c.obsReg)
-	return nil
 }
 
 func machineList(n int) []addr.MachineID {
@@ -237,10 +178,7 @@ func (c *Cluster) boot() error {
 		// from the registry owning the PM's machine so merged snapshots
 		// carry them exactly once.
 		pm := c.pm
-		reg := c.obsReg
-		if c.sh != nil {
-			reg = c.sh.regs[shardOfMachine(c.opts.PMMachine, c.sh.n)]
-		}
+		reg := c.regs[c.shardOf[c.opts.PMMachine]]
 		reg.Sample("policy.migrations_ordered", func() uint64 { return pm.MigrationsOrdered })
 		reg.Sample("policy.decisions", func() uint64 { return pm.PolicyDecisions })
 		reg.Sample("policy.sweeps", func() uint64 { return pm.PolicySweeps })
@@ -353,64 +291,22 @@ func (c *Cluster) kernels() []*kernel.Kernel {
 
 // --- accessors ---------------------------------------------------------------
 
-// Engine returns the discrete-event engine. For a sharded cluster this is
-// shard 0, the control shard — cluster-level drivers (chaos pulses) live
-// there; per-machine events must go through EngineOf.
-func (c *Cluster) Engine() *sim.Engine { return c.eng }
-
-// Tracer returns the cluster tracer. Sharded clusters have one tracer per
-// shard; use TraceRecords for the merged canonical view.
-func (c *Cluster) Tracer() *trace.Tracer {
-	if c.sh != nil {
-		panic("core: sharded cluster has per-shard tracers; use TraceRecords()")
-	}
-	return c.tr
-}
-
-// Network returns the network substrate. Sharded clusters have one network
-// per shard; use NetStats() for merged counters and the Cluster-level
-// Partition/Heal/LossBurst/DuplicateNext/DelayNext for fault injection.
-func (c *Cluster) Network() *netw.Network {
-	if c.sh != nil {
-		panic("core: sharded cluster has per-shard networks; use NetStats() and the Cluster fault-injection methods")
-	}
-	return c.net
-}
-
-// Obs returns the cluster's metrics registry. It is always non-nil:
-// every kernel's stats and the network's wire counters are registered at
-// build time, so Obs().Snapshot(c.Now()) is a complete cluster view.
-// Sharded clusters have one registry per shard; use ObsSnapshot for the
-// merged view.
-func (c *Cluster) Obs() *obs.Registry {
-	if c.sh != nil {
-		panic("core: sharded cluster has per-shard registries; use ObsSnapshot()")
-	}
-	return c.obsReg
-}
-
 // Ledger returns the cluster's migration cost ledger (§6): one record per
 // completed outbound migration, including post-completion forwarding and
-// link-update attribution. For a sharded cluster this is a merged view
-// over the per-shard ledgers (records stay live by pointer).
-func (c *Cluster) Ledger() *obs.Ledger {
-	if c.sh != nil {
-		return obs.MergeLedgers(c.sh.leds...)
-	}
-	return c.obsLed
-}
+// link-update attribution. It is a merged view over the per-shard ledgers
+// (records stay live by pointer).
+func (c *Cluster) Ledger() *obs.Ledger { return obs.MergeLedgers(c.leds...) }
 
 // ObsSnapshot is a registry snapshot stamped with the current simulated
-// time — merged across shards (name-sorted, values summed) when sharded.
+// time, merged across shards (name-sorted, values summed). Every kernel's
+// stats and the network's wire counters are registered at build time, so
+// it is a complete cluster view.
 func (c *Cluster) ObsSnapshot() obs.Snapshot {
-	if c.sh != nil {
-		snaps := make([]obs.Snapshot, 0, len(c.sh.regs))
-		for _, r := range c.sh.regs {
-			snaps = append(snaps, r.Snapshot(c.Now()))
-		}
-		return obs.MergeSnapshots(uint64(c.Now()), snaps...)
+	snaps := make([]obs.Snapshot, 0, len(c.regs))
+	for _, r := range c.regs {
+		snaps = append(snaps, r.Snapshot(c.now))
 	}
-	return c.obsReg.Snapshot(c.eng.Now())
+	return obs.MergeSnapshots(uint64(c.now), snaps...)
 }
 
 // Kernel returns machine m's kernel.
@@ -423,34 +319,18 @@ func (c *Cluster) Machines() int { return len(c.ks) }
 // only safe between Run calls.
 func (c *Cluster) PM() *procmgr.Manager { return c.pm }
 
-// Run drives the simulation until no strong events remain (across every
-// shard, when sharded).
-func (c *Cluster) Run() {
-	if c.sh != nil {
-		c.sh.now = c.sh.group.RunUntilIdle()
-		return
-	}
-	c.eng.Run()
-}
+// Run drives the simulation until no strong events remain on any shard.
+func (c *Cluster) Run() { c.now = c.group.RunUntilIdle() }
 
 // RunFor advances the simulation by d microseconds.
 func (c *Cluster) RunFor(d sim.Time) {
-	if c.sh != nil {
-		target := c.sh.now + d
-		c.sh.group.RunUntil(target)
-		c.sh.now = target
-		return
-	}
-	c.eng.RunFor(d)
+	target := c.now + d
+	c.group.RunUntil(target)
+	c.now = target
 }
 
-// Now returns the simulated time (the global round clock when sharded).
-func (c *Cluster) Now() sim.Time {
-	if c.sh != nil {
-		return c.sh.now
-	}
-	return c.eng.Now()
-}
+// Now returns the simulated time: the global round clock.
+func (c *Cluster) Now() sim.Time { return c.now }
 
 // --- process operations --------------------------------------------------------
 

@@ -21,10 +21,6 @@ type shardSink struct{ n int }
 
 func (s *shardSink) DeliverFrame(m *msg.Message) { s.n++ }
 
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
 // TestShardHotPathZeroAlloc locks in the canonical delivery path's
 // zero-allocation invariant: a lossless send to a shard-local machine
 // (canonSend -> pendPush -> gate pump -> pendPop -> deliver) touches no
@@ -34,9 +30,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 func TestShardHotPathZeroAlloc(t *testing.T) {
 	e := sim.NewEngine(1)
 	nw := netw.New(e, netw.Config{})
-	nw.SetCanonical(2, 1,
-		func(addr.MachineID) bool { return true },
-		func(netw.RemoteFrame) {})
+	nw.SetShard(2, 1, func(netw.RemoteFrame) {})
 	nw.RegisterObs(obs.NewRegistry())
 	nw.Attach(1, &shardSink{})
 	sink := &shardSink{}
@@ -64,11 +58,10 @@ func TestShardHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShardOptionValidation pins the sharded runtime's option surface: a
-// lossy (ARQ) network is ACCEPTED — the machine-anchored canonical ARQ
-// (netw/arq.go) made the old LossRate rejection obsolete — while a
-// streaming trace sink is still refused, with an error that points at the
-// lossy-sharded support and the TraceRecords() alternative.
+// TestShardOptionValidation pins the runtime's option surface: a lossy
+// (ARQ) network is accepted on any shard count; Shards 0 and 1 both mean
+// one shard and counts above Machines clamp; and a topology with a
+// zero-latency pair is refused, since the lookahead window must be >= 1µs.
 func TestShardOptionValidation(t *testing.T) {
 	c, err := core.New(core.Options{Machines: 4, Shards: 2, Net: netw.Config{LossRate: 0.1}})
 	if err != nil {
@@ -77,14 +70,19 @@ func TestShardOptionValidation(t *testing.T) {
 	if !c.NetLossy() {
 		t.Fatal("NetLossy() = false on a lossy sharded cluster")
 	}
-	_, err = core.New(core.Options{Machines: 4, Shards: 2, TraceSink: discard{}})
-	if err == nil {
-		t.Fatal("trace sink accepted with shards")
-	}
-	for _, want := range []string{"TraceRecords()", "machine-anchored ARQ"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("TraceSink rejection %q does not mention %q", err, want)
+	for _, tc := range []struct{ shards, want int }{{0, 1}, {1, 1}, {3, 3}, {9, 4}} {
+		c, err := core.New(core.Options{Machines: 4, Shards: tc.shards})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got := c.Shards(); got != tc.want {
+			t.Errorf("Shards: %d -> Shards() = %d, want %d", tc.shards, got, tc.want)
+		}
+	}
+	zero := func(a, b addr.MachineID) sim.Time { return 0 }
+	_, err = core.New(core.Options{Machines: 2, Net: netw.Config{PairLatency: zero}})
+	if err == nil || !strings.Contains(err.Error(), ">= 1µs") {
+		t.Fatalf("zero-latency topology: err = %v, want a >= 1µs lookahead error", err)
 	}
 }
 

@@ -13,18 +13,16 @@ import (
 
 // TestClusterSurface exercises the remaining accessors and SpawnVM.
 func TestClusterSurface(t *testing.T) {
-	var sink strings.Builder
 	c, err := core.New(core.Options{
 		Machines:    2,
 		Switchboard: true,
 		PM:          true,
-		TraceSink:   &sink,
 		TraceCap:    256,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Machines() != 2 || c.Engine() == nil || c.Tracer() == nil || c.Network() == nil {
+	if c.Machines() != 2 || c.Shards() != 1 || c.EngineOf(2) == nil || c.NetworkOfShard(0) == nil {
 		t.Fatal("accessors")
 	}
 	pid, err := c.SpawnVM(2, `
@@ -42,8 +40,12 @@ func TestClusterSurface(t *testing.T) {
 	if !ok || m != 2 || e.Code != 5 {
 		t.Fatalf("SpawnVM result: %+v %v %v", e, m, ok)
 	}
-	if !strings.Contains(sink.String(), "spawn") {
-		t.Fatal("trace sink saw nothing")
+	spawned := false
+	for _, r := range c.TraceRecords() {
+		spawned = spawned || strings.Contains(r.Event, "spawn")
+	}
+	if !spawned {
+		t.Fatal("trace saw no spawn")
 	}
 	// Bad assembly reports an error.
 	if _, err := c.SpawnVM(1, "bogus r9"); err == nil {

@@ -1,12 +1,7 @@
-// Machine-anchored ARQ for canonical (sharded) delivery mode.
+// Machine-anchored ARQ: the one retransmission scheme.
 //
-// The classic ARQ (transmit, netw.go) schedules per-frame deliver/ack/retry
-// closures on one shared engine and draws losses from that engine's RNG.
-// Neither survives sharding: a delivery closure would have to fire on a
-// peer shard's engine mid-round, and RNG draw order depends on how machines
-// are partitioned across shards. This file re-anchors every piece of ARQ
-// state to the sending machine's shard so that `LossRate > 0` composes
-// with `Shards >= 1` and `ShardParallel`:
+// Every piece of ARQ state is anchored to the sending machine's network, so
+// `LossRate > 0` composes with any shard count and with `ShardParallel`:
 //
 //   - Retransmission timers are normal events on the sender's OWN engine;
 //     the in-flight table (inflight, keyed by shard-invariant frame id
@@ -86,7 +81,7 @@ func (n *Network) lossRate() float64 {
 }
 
 // canonSendARQ submits one frame to the machine-anchored retransmission
-// machinery (the canonical-mode analogue of sendARQ). A pooled envelope is
+// machinery. A pooled envelope is
 // never retained: the master is a heap clone and the original retires to
 // its owner. An injected duplicate reuses the frame id, exercising receiver
 // dedup rather than user-visible duplication.
@@ -121,8 +116,8 @@ func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int
 // a clone for canonical delivery if it survives, and arm the retransmission
 // check on the sender's own engine. The receiver's down state is NOT
 // consulted here — it lives on the receiver's shard and is checked at
-// arrival (arqLand); a frame to a crashed machine burns retries exactly
-// like the classic ARQ.
+// arrival (arqLand); a frame to a crashed machine burns retries until it
+// restarts or MaxRetries is exhausted.
 func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 	if fl.attempt > 0 {
 		n.stats.retransmits++
@@ -161,12 +156,12 @@ func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 //
 //demos:owner inflight — the pending heap (this shard's or, via ship, the destination shard's) owns the entry's clone until arqLand consumes it.
 func (n *Network) arqEnqueue(ent pendEnt) {
-	if n.canonLocal(ent.to) {
+	if n.attached(ent.to) {
 		n.pendPush(ent)
 		n.eng.AtGate(ent.at, "netw:pump", n.pumpFn)
 		return
 	}
-	n.canonShip(RemoteFrame{
+	n.ship(RemoteFrame{
 		From: ent.from, To: ent.to, At: ent.at, Seq: ent.seq,
 		Class: ent.class, Attempt: ent.attempt, ID: ent.id, M: ent.m,
 	})
@@ -184,9 +179,9 @@ func (n *Network) arqLand(ent pendEnt) {
 			delete(n.inflight, ent.id)
 		}
 	case classDup:
-		// Classic parity (sendARQ's dup closure): an injected duplicate
-		// arriving at a down or partitioned receiver vanishes silently —
-		// it was surplus wire noise, not an accountable frame.
+		// An injected duplicate arriving at a down or partitioned
+		// receiver vanishes silently — it was surplus wire noise, not an
+		// accountable frame.
 		if n.down[ent.to] || n.partitioned(ent.from, ent.to) {
 			return
 		}
@@ -200,8 +195,8 @@ func (n *Network) arqLand(ent pendEnt) {
 		}
 		n.arrive(ent.from, ent.to, ent.m, ent.id)
 		// The ack for this attempt flows back through the same canonical
-		// machinery (nil payload, zero cost — matching the classic ARQ's
-		// accounting, which never counts ack bytes).
+		// machinery (nil payload, zero cost — ack bytes are not part of
+		// the paper's accounting).
 		lostAck := arqDraw(n.arqSeed, ent.id, ent.attempt, saltAck) < n.lossRate() ||
 			n.partitioned(ent.from, ent.to)
 		if !lostAck {

@@ -1,12 +1,11 @@
-// Canonical (sharded) delivery mode.
+// Canonical delivery: the one delivery path.
 //
-// When a cluster is split across shard-local engines, frames can no longer
-// be scheduled as plain per-frame delivery events: two frames converging on
-// one machine from different shards must land in the SAME relative order
-// regardless of how machines are partitioned, or same-seed runs stop being
-// bit-identical across shard counts. Canonical mode therefore routes every
-// cross-machine frame — intra-shard and cross-shard alike — through a
-// per-shard pending min-heap keyed
+// Frames are never scheduled as plain per-frame delivery events. Two frames
+// converging on one machine from different shards must land in the SAME
+// relative order regardless of how machines are partitioned, or same-seed
+// runs stop being bit-identical across shard counts. Every cross-machine
+// frame — intra-shard and cross-shard alike, on a standalone network too —
+// therefore goes through a per-network pending min-heap keyed
 //
 //	(deliverTime, toMachine, fromMachine, perSenderSeq)
 //
@@ -16,7 +15,8 @@
 // k-th frame is its k-th frame under any sharding), which makes the heap
 // key — and hence delivery order at equal timestamps — canonical.
 //
-// Cross-shard frames are shipped through a cluster-provided hook into the
+// In a sharded cluster (SetShard), frames for machines attached to another
+// shard's network are shipped through a cluster-provided hook into the
 // receiving shard's mailbox and re-enter this same heap at the round
 // barrier; heap order is insertion-order-independent, so mailbox arrival
 // order (even from parallel shard goroutines) cannot perturb simulation
@@ -95,48 +95,37 @@ func pendLess(a, b pendEnt) bool {
 	return a.attempt < b.attempt
 }
 
-// SetCanonical switches the network into canonical delivery mode for a
-// cluster of `machines` total machines. local reports whether a machine id
-// is attached to this shard; ship hands a frame bound for another shard to
-// the cluster's mailbox plane together with its precomputed arrival time
-// and per-sender sequence. Must be called before any Send. With
-// LossRate > 0 the machine-anchored ARQ (arq.go) is armed: seed keys its
-// hash-based loss draws and must be identical on every shard of one run,
-// so a frame's fate is a pure function of its identity, not of shard count.
-func (n *Network) SetCanonical(machines int, seed int64, local func(addr.MachineID) bool, ship func(RemoteFrame)) {
-	n.canon = true
-	n.canonTotal = addr.MachineID(machines)
-	n.canonLocal = local
-	n.canonShip = ship
-	n.sendSeq = make([]uint64, machines+1)
-	n.pumpFn = n.pump
-	// The hash-draw seed is armed in lossless mode too: burst drops on the
-	// canonical path draw by frame identity (see sendFaulty), so they stay
-	// shard-count invariant.
+// SetShard joins the network to a sharded cluster of `machines` total
+// machines. Machines not attached to this network live on other shards;
+// ship hands a frame bound for one of them to the cluster's mailbox plane
+// together with its precomputed arrival time and per-sender sequence. Must
+// be called before any Send. seed keys the hash-based loss draws (ARQ and
+// loss bursts) and must be identical on every shard of one run, so a
+// frame's fate is a pure function of its identity, not of shard count.
+func (n *Network) SetShard(machines int, seed int64, ship func(RemoteFrame)) {
+	n.total = addr.MachineID(machines)
+	n.ship = ship
 	n.arqSeed = uint64(seed)
-	if n.cfg.LossRate > 0 {
-		n.arqOn = true
-		n.inflight = make(map[uint64]*arqFlight)
-	}
-	// Pre-size the dense per-machine counters to the whole cluster: this
-	// shard accounts FramesIn for remote receivers it sends to, and the
-	// obs registry registers one sampler row per machine on every shard so
-	// merged snapshots sum to the cluster totals.
-	n.stats.machine(addr.MachineID(machines))
+	// Pre-size the dense per-machine state to the whole cluster: this
+	// shard sequences sends from and accounts FramesIn for any machine id,
+	// and the obs registry registers one sampler row per machine on every
+	// shard so merged snapshots sum to the cluster totals.
+	n.grow(n.total)
+	n.stats.machine(n.total)
 }
 
 // canonSend routes one lossless frame canonically. The arrival time is
-// computed on the sending shard (now + transit), so a shipped frame carries
-// its exact delivery timestamp with it.
+// computed on the sending network (now + transit), so a shipped frame
+// carries its exact delivery timestamp with it.
 //
-//demos:hotpath — the sharded lossless path must stay allocation-free for local targets: checked by demoslint (hotpathalloc); dynamic guard: TestShardHotPathZeroAlloc in internal/core/shard_test.go.
+//demos:hotpath — the lossless path must stay allocation-free for local targets: checked by demoslint (hotpathalloc); dynamic guards: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
 //demos:owner inflight — the pending heap owns the frame until pump hands it to deliver; a frame shipped cross-shard is a heap clone (the pooled original is retired to its owner first).
 func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time) {
 	at := n.eng.Now() + n.transit(from, to, size) + extra
 	n.sendSeq[from]++
 	seq := n.sendSeq[from]
 	m.Hops++
-	if n.canonLocal(to) {
+	if n.attached(to) {
 		n.pendPush(pendEnt{at: at, to: to, from: from, seq: seq, m: m})
 		n.eng.AtGate(at, "netw:pump", n.pumpFn)
 		return
@@ -146,7 +135,7 @@ func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, e
 		n.retire(from, m)
 		m = c
 	}
-	n.canonShip(RemoteFrame{From: from, To: to, At: at, Seq: seq, M: m})
+	n.ship(RemoteFrame{From: from, To: to, At: at, Seq: seq, M: m})
 }
 
 // EnqueueRemote lands a frame shipped from another shard: the cluster's
@@ -164,9 +153,9 @@ func (n *Network) EnqueueRemote(f RemoteFrame) {
 
 // pump fires every pending delivery due at or before the current time. It
 // runs as a gate event, so all frames arriving "at t" are delivered before
-// any normal event at t — the same order a single shared engine produces.
-// In ARQ mode entries carry a class and land through arqLand (arq.go); the
-// lossless path pays one boolean test for that and stays allocation-free.
+// any normal event at t. In ARQ mode entries carry a class and land
+// through arqLand (arq.go); the lossless path pays one boolean test for
+// that and stays allocation-free.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestShardHotPathZeroAlloc in internal/core/shard_test.go.
 func (n *Network) pump() {

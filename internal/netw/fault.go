@@ -112,31 +112,27 @@ func (n *Network) dropFromDown(from, to addr.MachineID, m *msg.Message) {
 }
 
 // dropToDown accounts a frame arriving at a down machine. In lossless mode
-// that loss is final, so the frame is sunk; in ARQ mode the retransmit/dead
-// path owns the accounting (sinking here too would double-count a frame
-// that a later retry delivers after restart).
+// that loss is final; in ARQ mode the retransmit/dead path owns the
+// accounting (sinking here too would double-count a frame that a later
+// retry delivers after restart).
 //
-// In canonical lossless mode the loss is an orphan drop regardless of shard
-// topology: a cross-shard frame is an ownerless clone, so echoing an
-// Undeliverable completion back to a SAME-shard sender would make the
-// sender's observable behavior depend on which shard the dead receiver
-// landed on — breaking shard-count invariance. The master envelope is
-// retired as a completed send instead (exactly what the ship path does when
-// the frame crosses shards), and the loss joins the delivery audit's budget
-// through OrphanDropped.
+// A lossless loss is an orphan drop regardless of shard topology: a
+// cross-shard frame is an ownerless clone, so echoing an Undeliverable
+// completion back to a SAME-shard sender would make the sender's
+// observable behavior depend on which shard the dead receiver landed on —
+// breaking shard-count invariance. The master envelope is retired as a
+// completed send instead (exactly what the ship path does when the frame
+// crosses shards), and the loss joins the delivery audit's budget through
+// OrphanDropped.
 func (n *Network) dropToDown(to addr.MachineID, m *msg.Message) {
 	n.stats.dropped++
-	if n.cfg.LossRate > 0 {
+	if n.arqOn {
 		return
 	}
-	if n.canon {
-		n.stats.orphanDropped++
-		if m.Pooled() {
-			n.retire(m.From.LastKnown, m)
-		}
-		return
+	n.stats.orphanDropped++
+	if m.Pooled() {
+		n.retire(m.From.LastKnown, m)
 	}
-	n.deadFrame(m.From.LastKnown, to, m)
 }
 
 // normPair returns the order-normalized key for a bidirectional pair.
@@ -241,12 +237,8 @@ func (n *Network) sendFaulty(from, to addr.MachineID, m *msg.Message) {
 		dup = true
 	}
 
-	if n.cfg.LossRate > 0 {
-		if n.canon {
-			n.canonSendARQ(from, to, m, size, extra, dup)
-		} else {
-			n.sendARQ(from, to, m, size, extra, dup)
-		}
+	if n.arqOn {
+		n.canonSendARQ(from, to, m, size, extra, dup)
 		return
 	}
 
@@ -259,76 +251,30 @@ func (n *Network) sendFaulty(from, to addr.MachineID, m *msg.Message) {
 		return
 	}
 	if n.burstEnd > n.eng.Now() {
-		lost := false
-		if n.canon {
-			// Shard-count invariance: the drop must be a pure function of
-			// the frame's identity (sender, per-sender sequence), never of
-			// a per-shard engine RNG stream. A dropped frame consumes its
-			// sequence number so the next frame from this sender draws
-			// fresh (seq stays shard-invariant either way: machine m's
-			// k-th send attempt is its k-th under any sharding).
-			id := uint64(from)<<48 | (n.sendSeq[from] + 1)
-			lost = arqDraw(n.arqSeed, id, 0, saltFrame) < n.burstRate
-			if lost {
-				n.sendSeq[from]++
-			}
-		} else {
-			lost = n.eng.Rand().Float64() < n.burstRate
-		}
-		if lost {
+		// Shard-count invariance: the drop is a pure function of the
+		// frame's identity (sender, per-sender sequence), never of an
+		// engine RNG stream. A dropped frame consumes its sequence number
+		// so the next frame from this sender draws fresh (seq stays
+		// shard-invariant either way: machine m's k-th send attempt is its
+		// k-th under any sharding).
+		id := uint64(from)<<48 | (n.sendSeq[from] + 1)
+		if arqDraw(n.arqSeed, id, 0, saltFrame) < n.burstRate {
+			n.sendSeq[from]++
 			n.stats.dropped++
 			n.stats.burstDropped++
 			n.deadFrame(from, to, m)
 			return
 		}
 	}
-	if n.canon {
-		// Canonical (sharded) routing honors injections too: the clone for
-		// a duplicate is taken before canonSend may consume (ship) the
-		// original, and each copy earns its own Hops++ inside canonSend.
-		var dm *msg.Message
-		if dup {
-			dm = m.Clone()
-		}
-		n.canonSend(from, to, m, size, extra)
-		if dup {
-			n.canonSend(from, to, dm, size, extra+1)
-		}
-		return
-	}
-	m.Hops++
-	d := n.getDelivery(to, m)
-	n.eng.After(n.transit(from, to, size)+extra, "netw:deliver", d.fn)
+	// Injections ride the canonical route: the clone for a duplicate is
+	// taken before canonSend may consume (ship) the original, and each
+	// copy earns its own Hops++ inside canonSend.
+	var dm *msg.Message
 	if dup {
-		dm := m.Clone()
-		dm.Hops = m.Hops
-		dd := n.getDelivery(to, dm)
-		n.eng.After(n.transit(from, to, size)+extra+1, "netw:dup", dd.fn)
+		dm = m.Clone()
 	}
-}
-
-// sendARQ submits one frame to the retransmission machinery. A pooled
-// envelope is never retained: the ARQ transmits a heap clone and retires
-// the original to its owner (copy-on-retain), so the pooled fast path and
-// the lossy network are no longer mutually exclusive. An injected duplicate
-// reuses the frame id, exercising receiver dedup rather than user-visible
-// duplication.
-func (n *Network) sendARQ(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time, dup bool) {
-	if m.Pooled() {
-		c := m.Clone()
-		n.retire(from, m)
-		m = c
-	}
-	id := n.nextFrameID
-	n.nextFrameID++
-	n.transmit(from, to, m, size, id, 0, extra)
+	n.canonSend(from, to, m, size, extra)
 	if dup {
-		dm := m
-		n.eng.After(n.transit(from, to, size)+extra+1, "netw:dup", func() {
-			if n.down[to] || n.partitioned(from, to) {
-				return
-			}
-			n.arrive(from, to, dm, id) //demos:owner clone — dm is the ARQ heap clone (a pooled original was retired above), safe to hold in the event queue.
-		})
+		n.canonSend(from, to, dm, size, extra+1)
 	}
 }

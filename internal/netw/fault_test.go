@@ -175,6 +175,10 @@ func TestSendFromDownCounted(t *testing.T) {
 	}
 }
 
+// TestSendToDownLossless: a lossless frame that reaches a down receiver is
+// gone for good and counted as an orphan drop, never echoed back to the
+// sender as undeliverable — the same outcome whether or not the sender
+// shares the receiver's shard (see dropToDown).
 func TestSendToDownLossless(t *testing.T) {
 	eng, n, _, r2 := setup(Config{Latency: 100})
 	var dead int
@@ -185,8 +189,8 @@ func TestSendToDownLossless(t *testing.T) {
 	if len(r2.got) != 0 {
 		t.Fatal("delivered to a down machine")
 	}
-	if s := n.Stats(); s.Dropped != 1 || dead != 1 {
-		t.Fatalf("Dropped=%d dead=%d, want 1/1", s.Dropped, dead)
+	if s := n.Stats(); s.Dropped != 1 || s.OrphanDropped != 1 || dead != 0 {
+		t.Fatalf("Dropped=%d OrphanDropped=%d dead=%d, want 1/1/0", s.Dropped, s.OrphanDropped, dead)
 	}
 }
 

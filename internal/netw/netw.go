@@ -8,11 +8,13 @@
 // scheme with receiver-side deduplication, so the guarantee the kernels see
 // is the paper's: "any message sent will eventually be delivered".
 //
-// The lossless send path is allocation-free in steady state: per-kind and
-// per-machine counters are fixed-size arrays and a dense slice (the map
-// form of Stats is rebuilt only in Stats() snapshots), and delivery is
-// scheduled through a pooled record whose callback closure is built once
-// and reused — see bench_hotpath_test.go for the zero-alloc guards.
+// Every frame, lossless or lossy, takes one path: a per-network pending
+// min-heap drained by a gate pump (canon.go), so delivery order at equal
+// timestamps is canonical and identical for any shard layout. The lossless
+// send path is allocation-free in steady state: per-kind and per-machine
+// counters are fixed-size arrays and a dense slice (the map form of Stats is
+// rebuilt only in Stats() snapshots), and the pending heap reuses its
+// backing array — see bench_hotpath_test.go for the zero-alloc guards.
 package netw
 
 import (
@@ -44,7 +46,8 @@ type Config struct {
 	// PairLatency, when set, replaces the uniform Latency with a
 	// per-machine-pair propagation delay — a heterogeneous topology
 	// (the per-byte transmission cost still applies on top). It must be
-	// symmetric if the experiment assumes it.
+	// symmetric if the experiment assumes it, and every pair must be at
+	// least 1µs: the minimum is a cluster's conservative lookahead window.
 	PairLatency func(a, b addr.MachineID) sim.Time
 }
 
@@ -175,9 +178,9 @@ func (c *counters) snapshot() Stats {
 		SendFromDown: c.sendFromDown, PartitionDropped: c.partitionDropped,
 		BurstDropped: c.burstDropped, DupInjected: c.dupInjected,
 		DelayInjected: c.delayInjected, OrphanDropped: c.orphanDropped,
-		ByKind:        make(map[msg.Kind]uint64),
-		BytesByKind:   make(map[msg.Kind]uint64),
-		PerMachine:    make(map[addr.MachineID]MachineStats),
+		ByKind:      make(map[msg.Kind]uint64),
+		BytesByKind: make(map[msg.Kind]uint64),
+		PerMachine:  make(map[addr.MachineID]MachineStats),
 	}
 	for k, v := range c.byKind {
 		if v > 0 {
@@ -195,17 +198,6 @@ func (c *counters) snapshot() Stats {
 		}
 	}
 	return s
-}
-
-// delivery is a pooled record standing in for the two closures the lossless
-// send path used to allocate per frame: its fn is bound once when the record
-// is created and reused for every subsequent frame it carries.
-type delivery struct {
-	n    *Network
-	to   addr.MachineID
-	m    *msg.Message
-	fn   func()
-	next *delivery
 }
 
 // dedupWindow bounds the per-pair receiver dedup state. A duplicate can
@@ -269,41 +261,37 @@ func (d *dedup) add(id uint64) {
 // size reports the tracked-id count (tests assert boundedness).
 func (d *dedup) size() int { return len(d.set) }
 
-// Network connects the machines of a cluster.
+// Network connects the machines of a cluster. A network built by New treats
+// every attached machine as local; SetShard joins it to a sharded cluster,
+// whose other machines it reaches through a ship hook.
 type Network struct {
 	eng   *sim.Engine
 	cfg   Config
-	eps   map[addr.MachineID]Endpoint
+	eps   []Endpoint // indexed by machine id; nil = not attached here
 	down  map[addr.MachineID]bool
 	stats counters
 
-	delFree *delivery // pool of reusable lossless-delivery records
+	// ARQ receiver state, only used when LossRate > 0. delivered is
+	// sparse (first arrival creates a pair's state) and bounded (idle
+	// pairs are swept back into dedupFree), so long runs on large
+	// topologies stay O(active pairs).
+	delivered map[pair]*dedup
+	dedupFree *dedup // pool of evicted, reset dedup states
+	arrivals  uint64 // arrive() calls, drives the amortized sweep
 
-	// ARQ state, only used when LossRate > 0. delivered is sparse (first
-	// arrival creates a pair's state) and bounded (idle pairs are swept
-	// back into dedupFree), so long runs on large topologies stay
-	// O(active pairs).
-	nextFrameID uint64
-	delivered   map[pair]*dedup
-	dedupFree   *dedup // pool of evicted, reset dedup states
-	arrivals    uint64 // arrive() calls, drives the amortized sweep
+	// Delivery state — canon.go. Every frame goes through the pending
+	// heap + gate pump (attached targets) or the ship hook (machines on
+	// other shards of a sharded cluster).
+	total   addr.MachineID    // cluster size when sharded; 0 = standalone
+	ship    func(RemoteFrame) // cross-shard hook; nil = standalone
+	sendSeq []uint64          // per-sending-machine dense frame sequence
+	pend    []pendEnt         // binary min-heap keyed (at, to, from, seq, class, attempt)
+	pumpFn  func()            // bound once; fires pending deliveries due now
 
-	// Canonical (sharded) delivery state — canon.go. When canon is set the
-	// lossless path routes every frame through the pending heap + gate
-	// pump (local targets) or the cross-shard ship hook (remote targets)
-	// instead of scheduling per-frame delivery events directly.
-	canon      bool
-	canonTotal addr.MachineID
-	canonLocal func(addr.MachineID) bool
-	canonShip  func(RemoteFrame)
-	sendSeq    []uint64  // per-sending-machine dense frame sequence
-	pend       []pendEnt // binary min-heap keyed (at, to, from, seq, class, attempt)
-	pumpFn     func()    // bound once; fires pending deliveries due now
-
-	// Machine-anchored ARQ state for canonical mode (arq.go), armed by
-	// SetCanonical when LossRate > 0. inflight is keyed by shard-invariant
-	// frame id (sender machine << 48 | per-sender seq); every flight lives
-	// on the sending machine's own shard.
+	// Machine-anchored ARQ state (arq.go), armed when LossRate > 0.
+	// inflight is keyed by shard-invariant frame id (sender machine << 48
+	// | per-sender seq); every flight lives on the sending machine's own
+	// network. arqSeed keys the hash-based loss draws (SetShard).
 	arqOn    bool
 	arqSeed  uint64
 	inflight map[uint64]*arqFlight
@@ -338,13 +326,13 @@ type Network struct {
 
 type pair struct{ from, to addr.MachineID }
 
-// New creates a network driven by eng.
+// New creates a standalone network driven by eng: every attached machine
+// is local. With LossRate > 0 the machine-anchored ARQ is armed.
 func New(eng *sim.Engine, cfg Config) *Network {
 	cfg.fillDefaults()
 	n := &Network{
 		eng:       eng,
 		cfg:       cfg,
-		eps:       make(map[addr.MachineID]Endpoint),
 		down:      make(map[addr.MachineID]bool),
 		delivered: make(map[pair]*dedup),
 		parts:     make(map[pair]struct{}),
@@ -353,6 +341,11 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		owners:    make(map[addr.MachineID]FrameOwner),
 	}
 	n.sinkFn = n.runSink
+	n.pumpFn = n.pump
+	if cfg.LossRate > 0 {
+		n.arqOn = true
+		n.inflight = make(map[uint64]*arqFlight)
+	}
 	return n
 }
 
@@ -370,14 +363,34 @@ func (n *Network) Lossy() bool { return n.cfg.LossRate > 0 }
 // that the network consumed (retired pooled originals) or abandoned
 // (partition, crash, retries exhausted).
 func (n *Network) Attach(m addr.MachineID, ep Endpoint) {
-	if _, dup := n.eps[m]; dup {
+	if n.attached(m) {
 		panic(fmt.Sprintf("netw: machine %v attached twice", m))
 	}
+	n.grow(m)
 	n.eps[m] = ep
 	if o, ok := ep.(FrameOwner); ok {
 		n.owners[m] = o
 	}
 	n.stats.machine(m) // pre-size the dense per-machine counters
+}
+
+// grow sizes the dense per-machine slices to hold machine m.
+func (n *Network) grow(m addr.MachineID) {
+	if int(m) >= len(n.eps) {
+		eps := make([]Endpoint, int(m)+1)
+		copy(eps, n.eps)
+		n.eps = eps
+	}
+	if int(m) >= len(n.sendSeq) {
+		seq := make([]uint64, int(m)+1)
+		copy(seq, n.sendSeq)
+		n.sendSeq = seq
+	}
+}
+
+// attached reports whether machine m's endpoint lives on this network.
+func (n *Network) attached(m addr.MachineID) bool {
+	return int(m) < len(n.eps) && n.eps[m] != nil
 }
 
 // SetDown marks a machine as crashed (true) or recovered (false). Frames to
@@ -417,12 +430,10 @@ func (n *Network) Send(from, to addr.MachineID, m *msg.Message) {
 	if from == to {
 		panicLocalSend(from, to)
 	}
-	if _, ok := n.eps[to]; !ok {
-		// In canonical (sharded) mode machines on other shards have no
-		// local endpoint; any id within the cluster is routable.
-		if !n.canon || to == 0 || to > n.canonTotal {
-			panicNoEndpoint(to)
-		}
+	if !n.attached(to) && (to == 0 || to > n.total) {
+		// Machines on other shards have no local endpoint; any id within
+		// a sharded cluster is routable.
+		panicNoEndpoint(to)
 	}
 	if n.down[from] {
 		n.dropFromDown(from, to, m)
@@ -434,21 +445,11 @@ func (n *Network) Send(from, to addr.MachineID, m *msg.Message) {
 	}
 	size := m.WireSize()
 	n.account(from, to, m, size)
-	if n.cfg.LossRate <= 0 {
-		if n.canon {
-			n.canonSend(from, to, m, size, 0)
-			return
-		}
-		m.Hops++
-		d := n.getDelivery(to, m)
-		n.eng.After(n.transit(from, to, size), "netw:deliver", d.fn)
-		return
-	}
-	if n.canon {
+	if n.arqOn {
 		n.canonSendARQ(from, to, m, size, 0, false)
 		return
 	}
-	n.sendARQ(from, to, m, size, 0, false)
+	n.canonSend(from, to, m, size, 0)
 }
 
 // panicLocalSend and panicNoEndpoint keep fmt's formatting machinery (and
@@ -460,35 +461,6 @@ func panicLocalSend(from, to addr.MachineID) {
 
 func panicNoEndpoint(to addr.MachineID) {
 	panic(fmt.Sprintf("netw: no endpoint for machine %v", to))
-}
-
-// getDelivery pops a pooled delivery record (or builds one, binding its
-// callback closure exactly once) and loads it with this frame.
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); the pool is what keeps TestHotPathZeroAlloc/netw-send at zero allocations.
-//demos:owner inflight — the pooled delivery record owns the frame while it rides the event queue; run() releases the record and hands the frame to DeliverFrame.
-func (n *Network) getDelivery(to addr.MachineID, m *msg.Message) *delivery {
-	d := n.delFree
-	if d == nil {
-		d = &delivery{n: n}
-		d.fn = d.run
-	} else {
-		n.delFree = d.next
-	}
-	d.to, d.m = to, m
-	return d
-}
-
-// run fires a pooled delivery: it releases the record back to the pool
-// first so a nested Send inside DeliverFrame can reuse it.
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go.
-func (d *delivery) run() {
-	n, to, m := d.n, d.to, d.m
-	d.m = nil
-	d.next = n.delFree
-	n.delFree = d
-	n.deliver(to, m)
 }
 
 //demos:hotpath — flat-array counters, no map writes: checked by demoslint (hotpathalloc) and TestHotPathZeroAlloc/netw-send.
@@ -620,49 +592,4 @@ func (n *Network) arrive(from, to addr.MachineID, m *msg.Message, id uint64) boo
 	seen.add(id)
 	n.deliver(to, m)
 	return true
-}
-
-// transmit is one ARQ attempt. The ack travels as a zero-cost event (the
-// real ack bytes are negligible and not part of the paper's accounting).
-// extra delays only this attempt's delivery (reorder injection); a
-// partition or an active loss burst raises the effective loss probability
-// per attempt, so retries outlasting the fault still get through.
-//
-//demos:owner inflight — transmit's deliver/retransmit events own the frame until it arrives or the ARQ gives up and routes it to deadFrame; sendARQ guarantees it is a heap clone, never a pooled envelope.
-func (n *Network) transmit(from, to addr.MachineID, m *msg.Message, size int, id uint64, attempt int, extra sim.Time) {
-	if attempt > 0 {
-		n.stats.retransmits++
-	}
-	rate := n.cfg.LossRate
-	if n.burstEnd > n.eng.Now() && n.burstRate > rate {
-		rate = n.burstRate
-	}
-	cut := n.partitioned(from, to)
-	lostFrame := n.eng.Rand().Float64() < rate || n.down[to] || cut
-	lostAck := n.eng.Rand().Float64() < rate || cut
-	acked := false
-
-	if !lostFrame {
-		m.Hops++
-		n.eng.After(n.transit(from, to, size)+extra, "netw:deliver", func() {
-			n.arrive(from, to, m, id)
-			if !lostAck {
-				n.eng.After(n.cfg.Latency, "netw:ack", func() { acked = true })
-			}
-		})
-	} else {
-		n.stats.dropped++
-	}
-
-	n.eng.After(n.cfg.RetransTimeout+extra, "netw:retrans-check", func() {
-		if acked {
-			return
-		}
-		if attempt+1 >= n.cfg.MaxRetries {
-			n.stats.dead++
-			n.deadFrame(from, to, m)
-			return
-		}
-		n.transmit(from, to, m, size, id, attempt+1, 0)
-	})
 }

@@ -43,8 +43,8 @@ func (n *Network) RegisterObs(reg *obs.Registry) {
 		reg.Sample("netw.bytes."+kind.String(), func() uint64 { return c.bytesByKind[kind] })
 	}
 	// Machine IDs are dense 1..N in a composed cluster; the dense
-	// perMachine slice is pre-sized by Attach (and, in canonical mode, by
-	// SetCanonical to the whole cluster — a shard accounts FramesIn for
+	// perMachine slice is pre-sized by Attach (and, in a sharded cluster,
+	// by SetShard to the whole cluster — a shard accounts FramesIn for
 	// remote receivers, so every shard registers every machine's rows and
 	// merged snapshots sum to cluster totals). Each sampler still guards
 	// its index defensively.

@@ -3,12 +3,11 @@
 // The protocol tests use it to assert the shape of the paper's figures —
 // the 8 migration steps of Figure 3-1, the forwarded-message path of
 // Figure 4-1, and the link update of Figure 5-1 — and the cmd/demosnet
-// binary can stream it for human inspection.
+// binary prints it for human inspection.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"demosmp/internal/addr"
@@ -48,7 +47,6 @@ type Tracer struct {
 	recs    []Record
 	max     int
 	dropped uint64
-	sink    io.Writer
 	clock   func() sim.Time
 }
 
@@ -58,13 +56,6 @@ func New(clock func() sim.Time, max int) *Tracer {
 		max = 65536
 	}
 	return &Tracer{max: max, clock: clock}
-}
-
-// SetSink also streams every record to w as it is emitted.
-func (t *Tracer) SetSink(w io.Writer) {
-	if t != nil {
-		t.sink = w
-	}
 }
 
 // Emit records an event. Safe on a nil Tracer.
@@ -80,9 +71,6 @@ func (t *Tracer) Emit(m addr.MachineID, cat Category, event, detail string) {
 		t.dropped++
 	}
 	t.recs = append(t.recs, r)
-	if t.sink != nil {
-		fmt.Fprintln(t.sink, r.String())
-	}
 }
 
 // Emitf is Emit with a formatted detail string.

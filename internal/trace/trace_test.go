@@ -71,17 +71,6 @@ func TestRingBound(t *testing.T) {
 	}
 }
 
-func TestSink(t *testing.T) {
-	var now sim.Time
-	var sb strings.Builder
-	tr := New(clockAt(&now), 0)
-	tr.SetSink(&sb)
-	tr.Emit(3, CatConsole, "print", "hello")
-	if !strings.Contains(sb.String(), "hello") || !strings.Contains(sb.String(), "m3") {
-		t.Fatalf("sink output: %q", sb.String())
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	var now sim.Time = 1500000
 	tr := New(clockAt(&now), 0)

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Contributor gate: vet, lint, build, race-test, and the hot-path
-# allocation guards. Run from anywhere; exits non-zero on the first failure.
+# Contributor gate: vet, lint, build, race-test, the hot-path allocation
+# guards, and smoke runs of every example and cmd/demosnet. Run from
+# anywhere; exits non-zero on the first failure.
 #
 #   ./scripts/check.sh
 set -euo pipefail
@@ -21,11 +22,11 @@ go test -race ./...
 echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7)"
 go test -short -count=1 ./internal/chaos/
 
-echo "== sharded runtime: chaos matrix + seed reproducibility + §6 conformance + shard-count invariance"
+echo "== shard-count invariance: chaos matrix + seed reproducibility + §6 conformance"
 go test -short -count=1 -run 'TestChaosSoakSharded|TestChaosShardedSameSeedReproduces' ./internal/chaos/
 go test -count=1 -run 'TestShardSection6Conformance|TestShardCountInvariance|TestShardHotPathZeroAlloc' ./internal/core/
 
-echo "== parallel chaos under sharding: lossy 4-shard soak under -race (fixed seeds: 4242 / 20260808)"
+echo "== parallel chaos: lossy 4-shard soak under -race (fixed seeds: 4242 / 20260808)"
 go test -race -short -count=1 -run 'TestChaosShardedSameSeedReproduces|TestShardChaosScale1000' ./internal/chaos/
 go test -race -short -count=1 -run 'TestShardFaultInjection|TestShardLossyInvariance' ./internal/core/
 
@@ -33,6 +34,12 @@ echo "== hot-path allocation guards + benchmarks (1 iteration smoke)"
 go test -run TestHotPathZeroAlloc \
   -bench 'EngineSchedule|EngineDispatchDepth64|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .
+
+echo "== examples + demosnet smoke runs (each exits non-zero on a lost or wrong process)"
+for ex in examples/*/; do
+  go run "./$ex" >/dev/null
+done
+go run ./cmd/demosnet -trace >/dev/null 2>&1
 
 echo "== obs smoke export (metrics snapshot + Chrome timeline)"
 mkdir -p artifacts
