@@ -195,7 +195,7 @@ func benchCluster(n int) (*sim.Engine, []*kernel.Kernel) {
 	for _, k := range ks {
 		k.SetObs(oreg, oled)
 	}
-	nw.RegisterObs(oreg)
+	netw.RegisterObs(oreg, nw)
 	return e, ks
 }
 
@@ -431,7 +431,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	t.Run("netw-send", func(t *testing.T) {
 		e := sim.NewEngine(1)
 		nw := netw.New(e, netw.Config{})
-		nw.RegisterObs(obs.NewRegistry())
+		netw.RegisterObs(obs.NewRegistry(), nw)
 		nw.Attach(1, &benchSink{})
 		nw.Attach(2, &benchSink{})
 		m := benchMessage()

@@ -156,7 +156,7 @@ func measureHotpath() benchSample {
 	{
 		e := sim.NewEngine(1)
 		nw := netw.New(e, netw.Config{})
-		nw.RegisterObs(obs.NewRegistry())
+		netw.RegisterObs(obs.NewRegistry(), nw)
 		nw.Attach(1, benchEP{})
 		nw.Attach(2, benchEP{})
 		m := &msg.Message{
@@ -240,7 +240,7 @@ func expCluster(n int) (*sim.Engine, []*kernel.Kernel) {
 	for _, k := range ks {
 		k.SetObs(oreg, oled)
 	}
-	nw.RegisterObs(oreg)
+	netw.RegisterObs(oreg, nw)
 	return e, ks
 }
 

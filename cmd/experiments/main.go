@@ -177,7 +177,7 @@ func e2() {
 		for op, n := range ks.AdminSent {
 			d := n - before.PerKernel[m].AdminSent[op]
 			if d > 0 {
-				rows = append(rows, row{op.String(), d})
+				rows = append(rows, row{msg.Op(op).String(), d})
 				total += d
 			}
 		}

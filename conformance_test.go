@@ -100,7 +100,7 @@ func TestPaperSection6Conformance(t *testing.T) {
 			rec.ForwardsAbsorbed, rec.LinkUpdatesSent)
 	}
 
-	// The registry reads the same run from its single-source samplers.
+	// The registry reads the same run from the single-source stats.
 	snap := c.ObsSnapshot()
 	if v := snap.Value("kernel.m1.migrations_out"); v != 1 {
 		t.Errorf("registry migrations_out = %d, want 1", v)

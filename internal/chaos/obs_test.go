@@ -42,7 +42,7 @@ func TestObsExportDeterministic(t *testing.T) {
 // no-fault soak every data packet and ack crosses the wire exactly once,
 // so the two layers must reconcile exactly; the registry reads each number
 // from exactly one of them (CheckRegistry, run inside runSoak, already
-// failed the run if any sampler disagreed with its owning struct).
+// failed the run if any exported row disagreed with its owning struct).
 func TestStatsSingleSource(t *testing.T) {
 	p := shortParams()
 	p.chaosOn = false

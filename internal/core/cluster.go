@@ -174,14 +174,13 @@ func (c *Cluster) boot() error {
 		}
 		c.pm.Note(pid, pmm)
 		c.register("procmgr", pid, pmm)
-		// The policy plane's counters live on the PM body; sample them
-		// from the registry owning the PM's machine so merged snapshots
-		// carry them exactly once.
+		// The policy plane's counters live on the PM body.
 		pm := c.pm
-		reg := c.regs[c.shardOf[c.opts.PMMachine]]
-		reg.Sample("policy.migrations_ordered", func() uint64 { return pm.MigrationsOrdered })
-		reg.Sample("policy.decisions", func() uint64 { return pm.PolicyDecisions })
-		reg.Sample("policy.sweeps", func() uint64 { return pm.PolicySweeps })
+		c.metrics.Source(func(w *obs.Writer) {
+			w.Counter("policy.migrations_ordered", pm.MigrationsOrdered)
+			w.Counter("policy.decisions", pm.PolicyDecisions)
+			w.Counter("policy.sweeps", pm.PolicySweeps)
+		})
 	}
 	if c.opts.MemSched {
 		pid, err := c.ks[m1].Spawn(kernel.SpawnSpec{Body: memsched.New(), Privileged: true})
@@ -297,17 +296,11 @@ func (c *Cluster) kernels() []*kernel.Kernel {
 // (records stay live by pointer).
 func (c *Cluster) Ledger() *obs.Ledger { return obs.MergeLedgers(c.leds...) }
 
-// ObsSnapshot is a registry snapshot stamped with the current simulated
-// time, merged across shards (name-sorted, values summed). Every kernel's
-// stats and the network's wire counters are registered at build time, so
-// it is a complete cluster view.
-func (c *Cluster) ObsSnapshot() obs.Snapshot {
-	snaps := make([]obs.Snapshot, 0, len(c.regs))
-	for _, r := range c.regs {
-		snaps = append(snaps, r.Snapshot(c.now))
-	}
-	return obs.MergeSnapshots(uint64(c.now), snaps...)
-}
+// ObsSnapshot is a name-sorted registry snapshot stamped with the current
+// simulated time. Every kernel's stats and the summed wire counters of
+// every shard's network are registered at build time, so it is a complete
+// cluster view. Call it between Run calls.
+func (c *Cluster) ObsSnapshot() obs.Snapshot { return c.metrics.Snapshot(c.now) }
 
 // Kernel returns machine m's kernel.
 func (c *Cluster) Kernel(m int) *kernel.Kernel { return c.ks[addr.MachineID(m)] }

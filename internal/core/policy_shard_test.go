@@ -35,8 +35,8 @@ func runPolicyShardWorkload(t *testing.T, shards int, parallel bool) (trace stri
 	})
 	c.RunFor(sim.Time(2_000_000))
 	pm := c.PM()
-	// The obs plane must carry the PM's counters (registered once, on the
-	// PM machine's registry) so merged snapshots expose the policy plane.
+	// The obs plane must carry the PM's counters (one source, registered
+	// once) so cluster snapshots expose the policy plane.
 	var sampled, found uint64
 	for _, m := range c.ObsSnapshot().Metrics {
 		if m.Name == "policy.decisions" {

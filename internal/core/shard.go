@@ -7,8 +7,8 @@
 // Division of labor: internal/sim owns the round/barrier machinery,
 // internal/netw owns canonical frame ordering (the pending heap + gate
 // pump), and this file owns cluster assembly — shard assignment, mailbox
-// transport, merged observability views, and fan-out of fault injection to
-// the shards that enforce each fault.
+// transport, merged views of the per-shard traces and ledgers, and fan-out
+// of fault injection to the shards that enforce each fault.
 package core
 
 import (
@@ -43,9 +43,13 @@ type shardRuntime struct {
 	engines []*sim.Engine
 	nets    []*netw.Network
 	trs     []*trace.Tracer
-	regs    []*obs.Registry
-	leds    []*obs.Ledger
+	leds    []*obs.Ledger // per shard: kernels append during parallel rounds
 	inboxes []shardInbox
+
+	// metrics is the cluster's one obs registry: a source per kernel, one
+	// for the summed networks and one for the policy counters. It holds no
+	// hot counter, and snapshots run between rounds.
+	metrics *obs.Registry
 
 	group *sim.Group
 }
@@ -87,9 +91,9 @@ func (c *Cluster) build() error {
 		c.engines = append(c.engines, eng)
 		c.nets = append(c.nets, nw)
 		c.trs = append(c.trs, trace.New(eng.Now, o.TraceCap))
-		c.regs = append(c.regs, obs.NewRegistry())
 		c.leds = append(c.leds, obs.NewLedger())
 	}
+	c.metrics = obs.NewRegistry()
 
 	kcfg := o.Kernel
 	kcfg.Registry = c.reg
@@ -103,17 +107,15 @@ func (c *Cluster) build() error {
 			return f(args)
 		}
 	}
+	kcfg.Machines = machineList(o.Machines) // read-only, shared by every kernel
 	for m := 1; m <= o.Machines; m++ {
 		s := c.shardOf[m]
 		kcfg.Tracer = c.trs[s]
-		kcfg.Machines = append([]addr.MachineID(nil), machineList(o.Machines)...)
 		k := kernel.New(addr.MachineID(m), c.engines[s], c.nets[s], kcfg)
-		k.SetObs(c.regs[s], c.leds[s])
+		k.SetObs(c.metrics, c.leds[s])
 		c.ks[addr.MachineID(m)] = k
 	}
-	for s := 0; s < shards; s++ {
-		c.nets[s].RegisterObs(c.regs[s])
-	}
+	netw.RegisterObs(c.metrics, c.nets...)
 	c.group = &sim.Group{
 		Engines:   c.engines,
 		Lookahead: look,
@@ -208,40 +210,12 @@ func (c *Cluster) TotalFired() uint64 {
 }
 
 // NetStats returns the cluster-wide network counters: the sum over every
-// shard's network. Per-machine rows sum too — a shard accounts FramesIn for
-// remote machines it sends to, so only the cluster-wide total is
-// meaningful.
+// shard's network (see netw.Stats.Add for the per-machine rows).
 func (c *Cluster) NetStats() netw.Stats {
-	out := c.nets[0].Stats()
-	for _, nw := range c.nets[1:] {
+	var out netw.Stats
+	for _, nw := range c.nets {
 		s := nw.Stats()
-		out.Frames += s.Frames
-		out.Bytes += s.Bytes
-		out.Delivered += s.Delivered
-		out.Dropped += s.Dropped
-		out.Retransmits += s.Retransmits
-		out.Duplicates += s.Duplicates
-		out.Dead += s.Dead
-		out.SendFromDown += s.SendFromDown
-		out.PartitionDropped += s.PartitionDropped
-		out.BurstDropped += s.BurstDropped
-		out.DupInjected += s.DupInjected
-		out.DelayInjected += s.DelayInjected
-		out.OrphanDropped += s.OrphanDropped
-		for k, v := range s.ByKind {
-			out.ByKind[k] += v
-		}
-		for k, v := range s.BytesByKind {
-			out.BytesByKind[k] += v
-		}
-		for m, ms := range s.PerMachine {
-			agg := out.PerMachine[m]
-			agg.FramesOut += ms.FramesOut
-			agg.FramesIn += ms.FramesIn
-			agg.BytesOut += ms.BytesOut
-			agg.BytesIn += ms.BytesIn
-			out.PerMachine[m] = agg
-		}
+		out.Add(&s)
 	}
 	return out
 }

@@ -31,7 +31,7 @@ func TestShardHotPathZeroAlloc(t *testing.T) {
 	e := sim.NewEngine(1)
 	nw := netw.New(e, netw.Config{})
 	nw.SetShard(2, 1, func(netw.RemoteFrame) {})
-	nw.RegisterObs(obs.NewRegistry())
+	netw.RegisterObs(obs.NewRegistry(), nw)
 	nw.Attach(1, &shardSink{})
 	sink := &shardSink{}
 	nw.Attach(2, sink)

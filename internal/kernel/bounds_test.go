@@ -65,7 +65,7 @@ func TestPendingLocateBounded(t *testing.T) {
 
 	// The same counters must surface through the obs registry — capped
 	// buffer overflow is part of the exported snapshot, never silent. The
-	// samplers read the kernel's live stats, so attaching after the run
+	// source reads the kernel's live stats, so attaching after the run
 	// still sees everything.
 	reg := obs.NewRegistry()
 	c.k(1).SetObs(reg, nil)

@@ -159,8 +159,9 @@ type Config struct {
 	OnReport func(MigrationReport)
 	// Tracer receives structured events (may be nil).
 	Tracer *trace.Tracer
-	// Machines lists all machines in the cluster (for EagerUpdate
-	// broadcast).
+	// Machines lists all machines in the cluster (for the EagerUpdate
+	// broadcast and the restart search). It is read-only: a cluster
+	// builds one list and shares it with every kernel.
 	Machines []addr.MachineID
 }
 
@@ -384,7 +385,7 @@ type Kernel struct {
 	loadReportEv sim.Event
 
 	// Observability plane (obs.go): the cluster-wide migration ledger and
-	// the kernel's registry-owned histograms. Both nil until SetObs; every
+	// the kernel's delivery-latency histogram. Both nil until SetObs; every
 	// hot-path touch is behind a nil check, so a bare kernel pays one
 	// predictable branch.
 	led  *obs.Ledger
@@ -416,7 +417,6 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 		stable:        make(map[addr.ProcessID][]byte),
 		lostPIDs:      make(map[addr.ProcessID]bool),
 		kinds:         make(map[string]string),
-		stats:         newStats(),
 	}
 	k.pool = msg.NewPool()
 	k.runSliceFn = k.runSlice
@@ -439,8 +439,8 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 // Config returns the active configuration.
 func (k *Kernel) Config() Config { return k.cfg }
 
-// Stats returns a snapshot of this kernel's counters.
-func (k *Kernel) Stats() Stats { return k.stats.Clone() }
+// Stats returns a copy of this kernel's counters.
+func (k *Kernel) Stats() Stats { return k.stats }
 
 // Reports returns the migration reports this kernel produced as a source.
 func (k *Kernel) Reports() []MigrationReport {

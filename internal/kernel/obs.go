@@ -2,8 +2,9 @@ package kernel
 
 // Observability wiring: how one kernel reports into the cluster's obs
 // plane. Registration is cold and happens once at boot (core.New) or in a
-// test harness; the only hot-path additions anywhere in the kernel are the
-// nil-checked Histogram.Observe in enqueue and the nil-checked
+// test harness: one source per kernel, which writes every Stats field when
+// a snapshot is taken. The only hot-path additions anywhere in the kernel
+// are the nil-checked Histogram.Observe in enqueue and the nil-checked
 // ledgerForward dispatch in forward — both guarded by TestHotPathZeroAlloc
 // running with obs attached.
 
@@ -15,107 +16,120 @@ import (
 	"demosmp/internal/obs"
 )
 
-// adminOps is the fixed registration order for per-op admin counters: the
-// nine administrative messages of §3.1 plus the abort used on fault paths.
-// A fixed slice (not a map range) keeps registration, and therefore
-// snapshot content, deterministic.
+// adminOps is the fixed order of the per-op admin rows: the nine
+// administrative messages of §3.1 plus the abort used on fault paths.
 var adminOps = []msg.Op{
 	msg.OpMigrateRequest, msg.OpMigrateAsk, msg.OpMigrateAccept,
 	msg.OpMigrateRefuse, msg.OpMoveDataReq, msg.OpMigrateEstablished,
 	msg.OpMigrateCleanup, msg.OpMigrateDone, msg.OpMigrateAbort,
 }
 
-// SetObs attaches the observability plane to this kernel: every Stats
-// counter becomes a sampler in reg under "kernel.m<id>." (the Stats struct
-// stays the single owner; the registry reads it live at snapshot time), a
-// registry-owned delivery-latency histogram starts observing enqueue, and
+// SetObs attaches the observability plane to this kernel: reg (if non-nil)
+// gains one source writing every Stats counter, the pool gauges and the
+// kernel-owned delivery-latency histogram under "kernel.m<id>." (Stats
+// stays the single owner; the source reads it live at snapshot time), and
 // led (if non-nil) receives one MigrationRecord per completed outbound
 // migration with post-completion forward/link-update attribution.
 //
-// Either argument may be nil to attach only half the plane. Call at most
-// once per registry: metric names are unique per machine.
+// Call at most once per registry: metric names are unique per machine.
 func (k *Kernel) SetObs(reg *obs.Registry, led *obs.Ledger) {
 	k.led = led
 	if reg == nil {
 		return
 	}
+	k.hLat = new(obs.Histogram)
+	reg.Source(k.writeObs)
+}
+
+// writeObs is the kernel's obs source. Names are built here, at snapshot
+// time, so registration allocates nothing per metric.
+func (k *Kernel) writeObs(w *obs.Writer) {
 	p := "kernel.m" + strconv.Itoa(int(k.machine)) + "."
 	s := &k.stats
+	for _, r := range []struct {
+		name string
+		v    uint64
+	}{
+		// Lifecycle and scheduling.
+		{"spawned", s.Spawned},
+		{"exited", s.Exited},
+		{"crashes", s.Crashes},
+		{"kills", s.Kills},
+		{"slices", s.Slices},
+		{"ctx_switches", s.CtxSwitches},
+		{"cpu_busy_us", uint64(s.CPUBusy)},
 
-	// Lifecycle and scheduling.
-	reg.Sample(p+"spawned", func() uint64 { return s.Spawned })
-	reg.Sample(p+"exited", func() uint64 { return s.Exited })
-	reg.Sample(p+"crashes", func() uint64 { return s.Crashes })
-	reg.Sample(p+"kills", func() uint64 { return s.Kills })
-	reg.Sample(p+"slices", func() uint64 { return s.Slices })
-	reg.Sample(p+"ctx_switches", func() uint64 { return s.CtxSwitches })
-	reg.Sample(p+"cpu_busy_us", func() uint64 { return uint64(s.CPUBusy) })
+		// Messaging.
+		{"msgs_routed", s.MsgsRouted},
+		{"msgs_enqueued", s.MsgsEnqueued},
+		{"msgs_held", s.MsgsHeld},
+		{"dead_letters", s.DeadLetters},
 
-	// Messaging.
-	reg.Sample(p+"msgs_routed", func() uint64 { return s.MsgsRouted })
-	reg.Sample(p+"msgs_enqueued", func() uint64 { return s.MsgsEnqueued })
-	reg.Sample(p+"msgs_held", func() uint64 { return s.MsgsHeld })
-	reg.Sample(p+"dead_letters", func() uint64 { return s.DeadLetters })
+		// Forwarding (§4).
+		{"forwarded", s.Forwarded},
+		{"forwarded_pending", s.ForwardedPending},
+		{"forwarders_installed", s.ForwardersInstalled},
+		{"forwarders_reclaimed", s.ForwardersReclaimed},
 
-	// Forwarding (§4).
-	reg.Sample(p+"forwarded", func() uint64 { return s.Forwarded })
-	reg.Sample(p+"forwarded_pending", func() uint64 { return s.ForwardedPending })
-	reg.Sample(p+"forwarders_installed", func() uint64 { return s.ForwardersInstalled })
-	reg.Sample(p+"forwarders_reclaimed", func() uint64 { return s.ForwardersReclaimed })
-	reg.SampleGauge(p+"forwarder_bytes", func() uint64 { return s.ForwarderBytes })
+		// Link updating (§5), coalesced batches included.
+		{"link_updates_sent", s.LinkUpdatesSent},
+		{"link_updates_applied", s.LinkUpdatesApplied},
+		{"links_fixed", s.LinksFixed},
+		{"link_update_batches_sent", s.LinkUpdateBatchesSent},
+		{"link_updates_batched", s.LinkUpdatesBatched},
+		{"link_update_batches_applied", s.LinkUpdateBatchesApplied},
+		{"eager_updates_sent", s.EagerUpdatesSent},
 
-	// Link updating (§5).
-	reg.Sample(p+"link_updates_sent", func() uint64 { return s.LinkUpdatesSent })
-	reg.Sample(p+"link_updates_applied", func() uint64 { return s.LinkUpdatesApplied })
-	reg.Sample(p+"links_fixed", func() uint64 { return s.LinksFixed })
-	reg.Sample(p+"eager_updates_sent", func() uint64 { return s.EagerUpdatesSent })
+		// Migration (§3, §6).
+		{"migrations_out", s.MigrationsOut},
+		{"migrations_in", s.MigrationsIn},
+		{"migrations_refused", s.MigrationsRefused},
+		{"migrations_failed", s.MigrationsFailed},
+		{"revived", s.Revived},
+		{"admin_bytes", s.AdminBytes},
+		{"admin_total", s.AdminTotal()},
 
-	// Migration (§3, §6).
-	reg.Sample(p+"migrations_out", func() uint64 { return s.MigrationsOut })
-	reg.Sample(p+"migrations_in", func() uint64 { return s.MigrationsIn })
-	reg.Sample(p+"migrations_refused", func() uint64 { return s.MigrationsRefused })
-	reg.Sample(p+"migrations_failed", func() uint64 { return s.MigrationsFailed })
-	reg.Sample(p+"revived", func() uint64 { return s.Revived })
-	reg.Sample(p+"admin_bytes", func() uint64 { return s.AdminBytes })
-	reg.Sample(p+"admin_total", func() uint64 { return s.AdminTotal() })
-	for _, op := range adminOps {
-		op := op
-		reg.Sample(p+"admin_sent."+op.String(), func() uint64 { return s.AdminSent[op] })
+		// Move-data streams (protocol-level; netw owns the wire-level kinds).
+		{"data_packets_sent", s.DataPacketsSent},
+		{"data_bytes_sent", s.DataBytesSent},
+		{"acks_sent", s.AcksSent},
+		{"acks_received", s.AcksReceived},
+
+		// Return-to-sender baseline and bounded buffers: the drop counters
+		// surface here so capped-buffer overflow is never silent.
+		{"bounced", s.Bounced},
+		{"locate_requests", s.LocateRequests},
+		{"resubmitted", s.Resubmitted},
+		{"locate_dropped", s.LocateDropped},
+		{"console_dropped", s.ConsoleDropped},
+
+		// Fault plane.
+		{"restarts", s.Restarts},
+		{"crash_wiped_msgs", s.CrashWipedMsgs},
+		{"crash_lost_procs", s.CrashLostProcs},
+		{"checkpoints_saved", s.CheckpointsSaved},
+		{"undeliverable", s.Undeliverable},
+		{"dropped_while_crashed", s.DroppedWhileCrashed},
+		{"search_forwards", s.SearchForwards},
+		{"searches_sent", s.SearchesSent},
+	} {
+		w.Counter(p+r.name, r.v)
 	}
-
-	// Move-data streams (protocol-level; netw owns the wire-level kinds).
-	reg.Sample(p+"data_packets_sent", func() uint64 { return s.DataPacketsSent })
-	reg.Sample(p+"data_bytes_sent", func() uint64 { return s.DataBytesSent })
-	reg.Sample(p+"acks_sent", func() uint64 { return s.AcksSent })
-	reg.Sample(p+"acks_received", func() uint64 { return s.AcksReceived })
-
-	// Return-to-sender baseline and bounded buffers: the PR-3 drop
-	// counters surface here so capped-buffer overflow is never silent.
-	reg.Sample(p+"bounced", func() uint64 { return s.Bounced })
-	reg.Sample(p+"locate_requests", func() uint64 { return s.LocateRequests })
-	reg.Sample(p+"resubmitted", func() uint64 { return s.Resubmitted })
-	reg.Sample(p+"locate_dropped", func() uint64 { return s.LocateDropped })
-	reg.Sample(p+"console_dropped", func() uint64 { return s.ConsoleDropped })
-
-	// Fault plane.
-	reg.Sample(p+"restarts", func() uint64 { return s.Restarts })
-	reg.Sample(p+"crash_wiped_msgs", func() uint64 { return s.CrashWipedMsgs })
-	reg.Sample(p+"crash_lost_procs", func() uint64 { return s.CrashLostProcs })
-	reg.Sample(p+"checkpoints_saved", func() uint64 { return s.CheckpointsSaved })
-	reg.Sample(p+"undeliverable", func() uint64 { return s.Undeliverable })
-	reg.Sample(p+"dropped_while_crashed", func() uint64 { return s.DroppedWhileCrashed })
-	reg.Sample(p+"search_forwards", func() uint64 { return s.SearchForwards })
-	reg.Sample(p+"searches_sent", func() uint64 { return s.SearchesSent })
+	for _, op := range adminOps {
+		w.Counter(p+"admin_sent."+op.String(), s.AdminSent[op])
+	}
+	w.Gauge(p+"forwarder_bytes", s.ForwarderBytes)
 
 	// Envelope pool levels: the registry view of the conservation law
 	// (news == free + held) the chaos invariant checker audits.
-	reg.SampleGauge(p+"pool_news", func() uint64 { n, _, _ := k.PoolStats(); return uint64(n) })
-	reg.SampleGauge(p+"pool_free", func() uint64 { _, f, _ := k.PoolStats(); return uint64(f) })
-	reg.SampleGauge(p+"pool_held", func() uint64 { _, _, h := k.PoolStats(); return uint64(h) })
+	news, free, held := k.PoolStats()
+	w.Gauge(p+"pool_news", uint64(news))
+	w.Gauge(p+"pool_free", uint64(free))
+	w.Gauge(p+"pool_held", uint64(held))
 
-	// The one registry-owned kernel metric: user-message delivery latency
-	// (SentAt stamp to queue insertion) in simulated µs.
-	k.hLat = reg.Histogram(p + "deliver_latency_us")
+	// User-message delivery latency (SentAt stamp to queue insertion) in
+	// simulated µs.
+	w.Histogram(p+"deliver_latency_us", k.hLat)
 }
 
 // ledgerRecord converts a completed source-side MigrationReport into the

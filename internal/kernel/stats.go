@@ -6,20 +6,22 @@ import (
 	"demosmp/internal/sim"
 )
 
-// Stats aggregates one kernel's activity. The experiment harness diffs
-// snapshots around a scenario to produce the paper's cost rows.
+// Stats aggregates one kernel's activity. It is a plain value: Kernel.Stats
+// returns a copy, and the experiment harness diffs copies around a
+// scenario to produce the paper's cost rows.
 //
 // Ownership rule (shared with the obs registry): this struct is the single
 // source for *protocol-level* counts — what the kernel decided to do:
 // messages routed/enqueued, admin messages and their payload bytes, data
-// packets and acks initiated, forwards, link updates. The netw flat arrays
-// are the single source for *wire-level* counts — what actually crossed the
+// packets and acks initiated, forwards, link updates. netw.Stats is the
+// single source for *wire-level* counts — what actually crossed the
 // network: frames and wire bytes (header + payload) by kind, drops,
-// retransmits. The registry samples each number from exactly one of the two
-// owners and never mirrors a value into a second live location;
-// chaos.CheckRegistry and the single-source soak test enforce that the
-// layers reconcile (e.g. Σ DataPacketsSent == data frames on a lossless
-// run) without either side keeping a duplicate.
+// retransmits. Each owner registers one obs source that writes its fields
+// at snapshot time (kernel/obs.go, netw/obs.go) and no value is mirrored
+// into a second live location; chaos.CheckRegistry and the single-source
+// soak test enforce that the layers reconcile (e.g. Σ DataPacketsSent ==
+// data frames on a lossless run), and TestObsSourceCoversStats that every
+// field is exported.
 //
 // The companion discipline — single-releaser ownership of the pooled
 // *message envelopes* these counters describe — no longer lives in prose:
@@ -66,9 +68,9 @@ type Stats struct {
 	MigrationsIn      uint64 // completed as destination
 	MigrationsRefused uint64
 	MigrationsFailed  uint64
-	Revived           uint64            // processes restored from checkpoints (§1 fault recovery)
-	AdminSent         map[msg.Op]uint64 // administrative messages sent, by op
-	AdminBytes        uint64            // payload bytes of administrative messages sent
+	Revived           uint64              // processes restored from checkpoints (§1 fault recovery)
+	AdminSent         [msg.OpCount]uint64 // administrative messages sent, indexed by op
+	AdminBytes        uint64              // payload bytes of administrative messages sent
 
 	// Move-data streams.
 	DataPacketsSent uint64
@@ -97,20 +99,6 @@ type Stats struct {
 	DroppedWhileCrashed uint64 // messages consumed while this kernel was down
 	SearchForwards      uint64 // messages rerouted to a pid's creator machine
 	SearchesSent        uint64 // search broadcasts for home-born pids
-}
-
-func newStats() Stats {
-	return Stats{AdminSent: make(map[msg.Op]uint64)}
-}
-
-// Clone returns a deep copy.
-func (s *Stats) Clone() Stats {
-	c := *s
-	c.AdminSent = make(map[msg.Op]uint64, len(s.AdminSent))
-	for k, v := range s.AdminSent {
-		c.AdminSent[k] = v
-	}
-	return c
 }
 
 // AdminTotal sums administrative messages sent across all ops.

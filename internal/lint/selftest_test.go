@@ -93,10 +93,10 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			// §6 per-migration accounting inside sendAdmin.
 			"MigrationReport.noteAdmin",
 		},
-		// Observability plane: the registry slots the instrumented hot
-		// paths write through.
+		// Observability plane: the histogram the instrumented hot paths
+		// observe into.
 		"demosmp/internal/obs": {
-			"Counter.Inc", "Counter.Add", "Histogram.Observe",
+			"Histogram.Observe",
 		},
 	}
 	got := HotpathFuncs(loadSelf(t))

@@ -103,6 +103,11 @@ const (
 	OpLinkUpdateBatch // coalesced §5 updates: one envelope per sender machine after a migration
 )
 
+// OpCount is one past the highest kernel-control Op; flat per-op counter
+// arrays (e.g. kernel.Stats.AdminSent) are sized by it. OpLoadReport
+// (loadreport.go) lies outside this range and is never counted by op.
+const OpCount = int(OpLinkUpdateBatch) + 1
+
 var opNames = map[Op]string{
 	OpNone: "none", OpMigrateRequest: "migrate-request", OpMigrateAsk: "migrate-ask",
 	OpMigrateAccept: "migrate-accept", OpMigrateRefuse: "migrate-refuse",

@@ -108,8 +108,7 @@ func (n *Network) SetShard(machines int, seed int64, ship func(RemoteFrame)) {
 	n.arqSeed = uint64(seed)
 	// Pre-size the dense per-machine state to the whole cluster: this
 	// shard sequences sends from and accounts FramesIn for any machine id,
-	// and the obs registry registers one sampler row per machine on every
-	// shard so merged snapshots sum to the cluster totals.
+	// and the summed Stats of every shard carry one row per machine.
 	n.grow(n.total)
 	n.stats.machine(n.total)
 }

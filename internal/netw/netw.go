@@ -12,9 +12,9 @@
 // min-heap drained by a gate pump (canon.go), so delivery order at equal
 // timestamps is canonical and identical for any shard layout. The lossless
 // send path is allocation-free in steady state: per-kind and per-machine
-// counters are fixed-size arrays and a dense slice (the map form of Stats is
-// rebuilt only in Stats() snapshots), and the pending heap reuses its
-// backing array — see bench_hotpath_test.go for the zero-alloc guards.
+// counters are fixed-size arrays and a dense slice in the plain-value Stats,
+// and the pending heap reuses its backing array — see bench_hotpath_test.go
+// for the zero-alloc guards.
 package netw
 
 import (
@@ -84,9 +84,9 @@ type Endpoint interface {
 }
 
 // Stats aggregates network activity. Per-kind counters let the experiments
-// separate administrative traffic from data streams and link updates.
-// A Stats value is a point-in-time snapshot built by Network.Stats(); the
-// live counters behind it are flat arrays, not these maps.
+// separate administrative traffic from data streams and link updates. It
+// is a plain value and the live counters themselves: the send path bumps
+// fixed arrays and a dense per-machine slice, Network.Stats returns a copy.
 type Stats struct {
 	Frames      uint64
 	Bytes       uint64
@@ -106,9 +106,9 @@ type Stats struct {
 	DelayInjected    uint64 // frames given extra transit (reordering)
 	OrphanDropped    uint64 // abandoned frames with no reachable owner (sharded: sender on another shard)
 
-	ByKind      map[msg.Kind]uint64
-	BytesByKind map[msg.Kind]uint64
-	PerMachine  map[addr.MachineID]MachineStats
+	ByKind      [msg.KindCount]uint64 // frames, indexed by msg.Kind
+	BytesByKind [msg.KindCount]uint64 // wire bytes, indexed by msg.Kind
+	PerMachine  []MachineStats        // indexed by machine id; entry 0 unused
 }
 
 // MachineStats counts a single machine's network activity.
@@ -117,87 +117,47 @@ type MachineStats struct {
 	BytesOut, BytesIn   uint64
 }
 
-// Clone returns a deep copy of the stats (for before/after comparisons).
-func (s *Stats) Clone() Stats {
-	c := *s
-	c.ByKind = make(map[msg.Kind]uint64, len(s.ByKind))
-	for k, v := range s.ByKind {
-		c.ByKind[k] = v
-	}
-	c.BytesByKind = make(map[msg.Kind]uint64, len(s.BytesByKind))
-	for k, v := range s.BytesByKind {
-		c.BytesByKind[k] = v
-	}
-	c.PerMachine = make(map[addr.MachineID]MachineStats, len(s.PerMachine))
-	for k, v := range s.PerMachine {
-		c.PerMachine[k] = v
-	}
-	return c
-}
-
-// counters is the live, allocation-free form of Stats: per-kind tallies in
-// fixed arrays indexed by msg.Kind, per-machine tallies in a dense slice
-// indexed by machine id.
-type counters struct {
-	frames      uint64
-	bytes       uint64
-	delivered   uint64
-	dropped     uint64
-	retransmits uint64
-	duplicates  uint64
-	dead        uint64
-
-	sendFromDown     uint64
-	partitionDropped uint64
-	burstDropped     uint64
-	dupInjected      uint64
-	delayInjected    uint64
-	orphanDropped    uint64
-
-	byKind      [msg.KindCount]uint64
-	bytesByKind [msg.KindCount]uint64
-	perMachine  []MachineStats // indexed by uint16(MachineID)
-}
-
 // machine returns the dense slot for m, growing the slice on first sight.
-func (c *counters) machine(m addr.MachineID) *MachineStats {
-	if int(m) >= len(c.perMachine) {
+func (s *Stats) machine(m addr.MachineID) *MachineStats {
+	if int(m) >= len(s.PerMachine) {
 		grown := make([]MachineStats, int(m)+1)
-		copy(grown, c.perMachine)
-		c.perMachine = grown
+		copy(grown, s.PerMachine)
+		s.PerMachine = grown
 	}
-	return &c.perMachine[m]
+	return &s.PerMachine[m]
 }
 
-// snapshot rebuilds the public map-based Stats view.
-func (c *counters) snapshot() Stats {
-	s := Stats{
-		Frames: c.frames, Bytes: c.bytes, Delivered: c.delivered,
-		Dropped: c.dropped, Retransmits: c.retransmits,
-		Duplicates: c.duplicates, Dead: c.dead,
-		SendFromDown: c.sendFromDown, PartitionDropped: c.partitionDropped,
-		BurstDropped: c.burstDropped, DupInjected: c.dupInjected,
-		DelayInjected: c.delayInjected, OrphanDropped: c.orphanDropped,
-		ByKind:      make(map[msg.Kind]uint64),
-		BytesByKind: make(map[msg.Kind]uint64),
-		PerMachine:  make(map[addr.MachineID]MachineStats),
+// Add sums o into s, field by field. Per-machine rows sum too: in a sharded
+// cluster a shard accounts FramesIn for the remote machines it sends to, so
+// only the sum over every shard's network is the cluster's row.
+func (s *Stats) Add(o *Stats) {
+	s.Frames += o.Frames
+	s.Bytes += o.Bytes
+	s.Delivered += o.Delivered
+	s.Dropped += o.Dropped
+	s.Retransmits += o.Retransmits
+	s.Duplicates += o.Duplicates
+	s.Dead += o.Dead
+	s.SendFromDown += o.SendFromDown
+	s.PartitionDropped += o.PartitionDropped
+	s.BurstDropped += o.BurstDropped
+	s.DupInjected += o.DupInjected
+	s.DelayInjected += o.DelayInjected
+	s.OrphanDropped += o.OrphanDropped
+	for k := range o.ByKind {
+		s.ByKind[k] += o.ByKind[k]
+		s.BytesByKind[k] += o.BytesByKind[k]
 	}
-	for k, v := range c.byKind {
-		if v > 0 {
-			s.ByKind[msg.Kind(k)] = v
-		}
+	if len(o.PerMachine) > 0 {
+		s.machine(addr.MachineID(len(o.PerMachine) - 1))
 	}
-	for k, v := range c.bytesByKind {
-		if v > 0 {
-			s.BytesByKind[msg.Kind(k)] = v
-		}
+	for m, ms := range o.PerMachine {
+		agg := &s.PerMachine[m]
+		agg.FramesOut += ms.FramesOut
+		agg.FramesIn += ms.FramesIn
+		agg.BytesOut += ms.BytesOut
+		agg.BytesIn += ms.BytesIn
 	}
-	for m, ms := range c.perMachine {
-		if ms != (MachineStats{}) {
-			s.PerMachine[addr.MachineID(m)] = ms
-		}
-	}
-	return s
 }
 
 // dedupWindow bounds the per-pair receiver dedup state. A duplicate can
@@ -269,7 +229,7 @@ type Network struct {
 	cfg   Config
 	eps   []Endpoint // indexed by machine id; nil = not attached here
 	down  map[addr.MachineID]bool
-	stats counters
+	stats Stats
 
 	// ARQ receiver state, only used when LossRate > 0. delivered is
 	// sparse (first arrival creates a pair's state) and bounded (idle
@@ -319,7 +279,7 @@ type Network struct {
 	// frames go to the sending machine's FrameOwner instead (fault.go).
 	OnDead func(to addr.MachineID, m *msg.Message)
 
-	// Observability (obs.go): registry-owned frame-size histogram, nil
+	// Observability (obs.go): the network-owned frame-size histogram, nil
 	// until RegisterObs; account touches it behind one nil check.
 	hFrame *obs.Histogram
 }
@@ -400,8 +360,12 @@ func (n *Network) SetDown(m addr.MachineID, down bool) { n.down[m] = down }
 // Down reports whether machine m is marked crashed.
 func (n *Network) Down(m addr.MachineID) bool { return n.down[m] }
 
-// Stats returns a snapshot of the accumulated counters.
-func (n *Network) Stats() Stats { return n.stats.snapshot() }
+// Stats returns a copy of the accumulated counters.
+func (n *Network) Stats() Stats {
+	s := n.stats
+	s.PerMachine = append([]MachineStats(nil), n.stats.PerMachine...)
+	return s
+}
 
 // TransitTime returns the modeled one-way time for a frame of size bytes
 // over a default-latency hop (pair-specific latency, if configured, is
@@ -466,11 +430,11 @@ func panicNoEndpoint(to addr.MachineID) {
 //demos:hotpath — flat-array counters, no map writes: checked by demoslint (hotpathalloc) and TestHotPathZeroAlloc/netw-send.
 func (n *Network) account(from, to addr.MachineID, m *msg.Message, size int) {
 	c := &n.stats
-	c.frames++
-	c.bytes += uint64(size)
+	c.Frames++
+	c.Bytes += uint64(size)
 	if k := int(m.Kind); k < msg.KindCount {
-		c.byKind[k]++
-		c.bytesByKind[k] += uint64(size)
+		c.ByKind[k]++
+		c.BytesByKind[k] += uint64(size)
 	}
 	fs := c.machine(from)
 	fs.FramesOut++
@@ -489,7 +453,7 @@ func (n *Network) deliver(to addr.MachineID, m *msg.Message) {
 		n.dropToDown(to, m)
 		return
 	}
-	n.stats.delivered++
+	n.stats.Delivered++
 	n.eps[to].DeliverFrame(m)
 }
 
@@ -586,7 +550,7 @@ func (n *Network) arrive(from, to addr.MachineID, m *msg.Message, id uint64) boo
 	}
 	seen.last = n.eng.Now()
 	if seen.seen(id) {
-		n.stats.duplicates++
+		n.stats.Duplicates++
 		return false
 	}
 	seen.add(id)

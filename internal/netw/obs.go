@@ -1,12 +1,12 @@
 package netw
 
-// Observability wiring for the network: the flat counter arrays stay the
-// single owner of every wire-level number (frames, wire bytes, drops,
-// retransmits — see the ownership note on kernel.Stats); RegisterObs makes
-// the registry read them live at snapshot time through sampler closures.
-// The one registry-owned metric is the frame-size histogram fed from
-// account behind a nil check, so an un-instrumented network pays nothing
-// and an instrumented one pays a bits.Len64.
+// Observability wiring for the network: Stats is the single owner of every
+// wire-level number (frames, wire bytes, drops, retransmits — see the
+// ownership note on kernel.Stats). RegisterObs adds one source that sums
+// the Stats of a set of networks and writes it under "netw.*" at snapshot
+// time. Each network owns a frame-size histogram fed from account behind a
+// nil check, so an un-instrumented network pays nothing and an
+// instrumented one pays a bits.Len64.
 
 import (
 	"strconv"
@@ -15,66 +15,54 @@ import (
 	"demosmp/internal/obs"
 )
 
-// RegisterObs registers the network's wire-level counters under "netw.*"
-// and attaches the frame-size histogram. Call once, after every machine
-// has been attached: per-machine rows are registered for the machines
-// known at call time.
-func (n *Network) RegisterObs(reg *obs.Registry) {
-	if reg == nil {
-		return
+// RegisterObs registers one source writing the summed wire counters and
+// frame-size histograms of nets under "netw.*", and arms each network's
+// histogram. A sharded cluster passes every shard's network, so the rows
+// are cluster totals; call once per registry.
+func RegisterObs(reg *obs.Registry, nets ...*Network) {
+	for _, n := range nets {
+		n.hFrame = new(obs.Histogram)
 	}
-	c := &n.stats
-	reg.Sample("netw.frames", func() uint64 { return c.frames })
-	reg.Sample("netw.bytes", func() uint64 { return c.bytes })
-	reg.Sample("netw.delivered", func() uint64 { return c.delivered })
-	reg.Sample("netw.dropped", func() uint64 { return c.dropped })
-	reg.Sample("netw.retransmits", func() uint64 { return c.retransmits })
-	reg.Sample("netw.duplicates", func() uint64 { return c.duplicates })
-	reg.Sample("netw.dead", func() uint64 { return c.dead })
-	reg.Sample("netw.send_from_down", func() uint64 { return c.sendFromDown })
-	reg.Sample("netw.partition_dropped", func() uint64 { return c.partitionDropped })
-	reg.Sample("netw.burst_dropped", func() uint64 { return c.burstDropped })
-	reg.Sample("netw.dup_injected", func() uint64 { return c.dupInjected })
-	reg.Sample("netw.delay_injected", func() uint64 { return c.delayInjected })
-	reg.Sample("netw.orphan_dropped", func() uint64 { return c.orphanDropped })
-	for i := 0; i < msg.KindCount; i++ {
-		kind := msg.Kind(i)
-		reg.Sample("netw.frames."+kind.String(), func() uint64 { return c.byKind[kind] })
-		reg.Sample("netw.bytes."+kind.String(), func() uint64 { return c.bytesByKind[kind] })
+	reg.Source(func(w *obs.Writer) {
+		var s Stats
+		var h obs.Histogram
+		for _, n := range nets {
+			s.Add(&n.stats)
+			h.Add(n.hFrame)
+		}
+		s.writeObs(w)
+		w.Histogram("netw.frame_bytes", &h)
+	})
+}
+
+// writeObs writes every field of s; names are built here, at snapshot time.
+func (s *Stats) writeObs(w *obs.Writer) {
+	w.Counter("netw.frames", s.Frames)
+	w.Counter("netw.bytes", s.Bytes)
+	w.Counter("netw.delivered", s.Delivered)
+	w.Counter("netw.dropped", s.Dropped)
+	w.Counter("netw.retransmits", s.Retransmits)
+	w.Counter("netw.duplicates", s.Duplicates)
+	w.Counter("netw.dead", s.Dead)
+	w.Counter("netw.send_from_down", s.SendFromDown)
+	w.Counter("netw.partition_dropped", s.PartitionDropped)
+	w.Counter("netw.burst_dropped", s.BurstDropped)
+	w.Counter("netw.dup_injected", s.DupInjected)
+	w.Counter("netw.delay_injected", s.DelayInjected)
+	w.Counter("netw.orphan_dropped", s.OrphanDropped)
+	for k := 0; k < msg.KindCount; k++ {
+		kind := msg.Kind(k).String()
+		w.Counter("netw.frames."+kind, s.ByKind[k])
+		w.Counter("netw.bytes."+kind, s.BytesByKind[k])
 	}
-	// Machine IDs are dense 1..N in a composed cluster; the dense
-	// perMachine slice is pre-sized by Attach (and, in a sharded cluster,
-	// by SetShard to the whole cluster — a shard accounts FramesIn for
-	// remote receivers, so every shard registers every machine's rows and
-	// merged snapshots sum to cluster totals). Each sampler still guards
-	// its index defensively.
-	for m := 1; m < len(n.stats.perMachine); m++ {
-		m := m
-		mp := "netw.m" + strconv.Itoa(m) + "."
-		reg.Sample(mp+"frames_out", func() uint64 {
-			if m < len(c.perMachine) {
-				return c.perMachine[m].FramesOut
-			}
-			return 0
-		})
-		reg.Sample(mp+"frames_in", func() uint64 {
-			if m < len(c.perMachine) {
-				return c.perMachine[m].FramesIn
-			}
-			return 0
-		})
-		reg.Sample(mp+"bytes_out", func() uint64 {
-			if m < len(c.perMachine) {
-				return c.perMachine[m].BytesOut
-			}
-			return 0
-		})
-		reg.Sample(mp+"bytes_in", func() uint64 {
-			if m < len(c.perMachine) {
-				return c.perMachine[m].BytesIn
-			}
-			return 0
-		})
+	// Machine ids are dense 1..N; a sharded network's slice is pre-sized
+	// to the whole cluster (SetShard), so every machine has a row.
+	for m := 1; m < len(s.PerMachine); m++ {
+		ms := &s.PerMachine[m]
+		p := "netw.m" + strconv.Itoa(m) + "."
+		w.Counter(p+"frames_out", ms.FramesOut)
+		w.Counter(p+"frames_in", ms.FramesIn)
+		w.Counter(p+"bytes_out", ms.BytesOut)
+		w.Counter(p+"bytes_in", ms.BytesIn)
 	}
-	n.hFrame = reg.Histogram("netw.frame_bytes")
 }

@@ -105,3 +105,20 @@ func (l *Ledger) WriteJSON(w io.Writer) error {
 		Migrations []MigrationRecord `json:"migrations"`
 	}{Migrations: l.Records()})
 }
+
+// MergeLedgers returns a ledger viewing every record of the inputs. A
+// sharded cluster keeps one ledger per shard because source kernels append
+// records during parallel rounds; this is its whole-cluster view. Records
+// are shared by pointer, not copied: kernels keep mutating their records
+// after completion (forward/link-update attribution), and Records() sorts
+// by (Start, PID) at read time, so the merged view stays deterministic and
+// live.
+func MergeLedgers(ledgers ...*Ledger) *Ledger {
+	out := &Ledger{}
+	for _, l := range ledgers {
+		if l != nil {
+			out.recs = append(out.recs, l.recs...)
+		}
+	}
+	return out
+}

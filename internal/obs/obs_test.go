@@ -12,14 +12,20 @@ import (
 
 func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("z.counter")
-	h := r.Histogram("a.hist")
+	var h Histogram
 	var src uint64 = 41
-	r.Sample("m.sampled", func() uint64 { return src })
-	r.SampleGauge("g.level", func() uint64 { return 7 })
+	r.Source(func(w *Writer) {
+		w.Counter("z.counter", 3)
+		w.Histogram("a.hist", &h)
+	})
+	r.Source(func(w *Writer) {
+		w.Counter("m.sampled", src)
+		w.Gauge("g.level", 7)
+	})
+	if r.Sources() != 2 {
+		t.Fatalf("Sources = %d, want 2", r.Sources())
+	}
 
-	c.Inc()
-	c.Add(2)
 	h.Observe(0)
 	h.Observe(5)
 	h.Observe(5)
@@ -42,8 +48,8 @@ func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 			t.Fatalf("snapshot not name-sorted: %v", names)
 		}
 	}
-	if v := s.Value("z.counter"); v != 3 {
-		t.Errorf("counter = %d, want 3", v)
+	if m, _ := s.Get("z.counter"); m.Kind != "counter" || m.Value != 3 {
+		t.Errorf("counter = %+v", m)
 	}
 	if v := s.Value("m.sampled"); v != 42 {
 		t.Errorf("sampled = %d, want 42 (live read)", v)
@@ -52,7 +58,7 @@ func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 		t.Errorf("gauge = %+v", m)
 	}
 	hm, ok := s.Get("a.hist")
-	if !ok || hm.Count != 3 || hm.Sum != 10 {
+	if !ok || hm.Kind != "histogram" || hm.Count != 3 || hm.Sum != 10 || hm.Value != 3 {
 		t.Fatalf("hist = %+v", hm)
 	}
 	// Observe(0) lands in the le=0 bucket; Observe(5) twice in le=7.
@@ -64,23 +70,47 @@ func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	}
 }
 
+// TestHistogramAdd pins the merge a source uses to fold per-shard
+// histograms into one row: counts, sums and buckets add index-wise.
+func TestHistogramAdd(t *testing.T) {
+	var a, b, sum Histogram
+	a.Observe(0)
+	a.Observe(100)
+	b.Observe(100)
+	b.Observe(1 << 40)
+	sum.Add(&a)
+	sum.Add(&b)
+	var want Histogram
+	for _, v := range []uint64{0, 100, 100, 1 << 40} {
+		want.Observe(v)
+	}
+	if sum != want {
+		t.Fatalf("Add = %+v, want %+v", sum, want)
+	}
+}
+
 func TestRegistryDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
+			t.Fatal("duplicate metric name did not panic")
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("dup")
-	r.Counter("dup")
+	r.Source(func(w *Writer) { w.Counter("dup", 1) })
+	r.Source(func(w *Writer) { w.Gauge("dup", 2) })
+	r.Snapshot(0)
 }
 
 func TestSnapshotWriteDeterministic(t *testing.T) {
 	build := func() Snapshot {
 		r := NewRegistry()
-		r.Counter("b").Add(5)
-		r.Histogram("a").Observe(100)
-		r.Sample("c", func() uint64 { return 9 })
+		var h Histogram
+		h.Observe(100)
+		r.Source(func(w *Writer) {
+			w.Counter("c", 9)
+			w.Histogram("a", &h)
+			w.Counter("b", 5)
+		})
 		return r.Snapshot(77)
 	}
 	var t1, t2, j1, j2 bytes.Buffer

@@ -4,16 +4,17 @@
 //
 // Design rules, in priority order:
 //
-//  1. Zero allocations on the hot path. Counters and histogram buckets are
-//     plain uint64 slots updated by pointer; no maps, no locks, no
-//     interfaces anywhere a per-message code path can reach. Everything
-//     else — registration, snapshotting, export — is cold and may allocate
-//     freely.
-//  2. Exactly one source per value. Existing kernel/netw stats structs stay
-//     the owners of their counters; the registry adopts them through
-//     sampler closures read only at snapshot time, so a number can never
-//     drift between "the struct" and "the registry". Only genuinely new
-//     metrics (latency/size histograms) live in registry-owned slots.
+//  1. Zero allocations on the hot path. Owners count in plain uint64
+//     fields and fixed arrays, and histogram buckets are a fixed array
+//     updated by pointer; no maps, no locks, no interfaces anywhere a
+//     per-message code path can reach. Everything else — registration,
+//     snapshotting, export — is cold and may allocate freely.
+//  2. Exactly one source per value. The kernel and netw stats structs are
+//     plain values and the only live copy of their counters; each owner
+//     registers one Source that writes all of its metrics when a snapshot
+//     is taken, with names built at that point, so a number can never
+//     drift between "the struct" and "the registry", and registration
+//     costs O(owners), not O(owners × fields).
 //  3. Deterministic output. Snapshots are sorted by metric name and
 //     rendered through explicit structs — no map iteration feeds an
 //     exporter (demoslint maporder), so two same-seed runs emit
@@ -31,26 +32,6 @@ import (
 	"demosmp/internal/sim"
 )
 
-// Counter is a registry-owned monotonic uint64 slot. Use it only for new
-// metrics with no existing owner; adopting an existing stats field goes
-// through Registry.Sample instead (rule 2 above).
-type Counter struct {
-	v uint64
-}
-
-// Inc adds one.
-//
-//demos:hotpath — a single uint64 increment: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip with obs attached.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc with obs attached.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count (cold; snapshots use it).
-func (c *Counter) Value() uint64 { return c.v }
-
 // HistBuckets is the number of power-of-two histogram buckets: bucket 0
 // counts observations of exactly 0, bucket i (1..64) counts observations
 // whose bit length is i, i.e. values in [2^(i-1), 2^i).
@@ -58,6 +39,7 @@ const HistBuckets = 65
 
 // Histogram is a fixed-size power-of-two-bucket histogram. Observe is a
 // bits.Len64 plus three increments — cheap enough for per-message paths.
+// The histogram's owner holds it and writes it out from its Source.
 type Histogram struct {
 	count   uint64
 	sum     uint64
@@ -73,70 +55,65 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bits.Len64(v)]++
 }
 
-// Count returns the number of observations (cold).
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all observed values (cold).
-func (h *Histogram) Sum() uint64 { return h.sum }
-
-// metric is one registered slot: exactly one of ctr, hist, fn is set.
-type metric struct {
-	name  string
-	kind  string // "counter", "gauge", "histogram"
-	ctr   *Counter
-	hist  *Histogram
-	fn    func() uint64
-	gauge bool // sampler semantics: gauge (level) vs counter (monotonic)
+// Add folds o's observations into h (cold; sources merge per-shard
+// histograms with it).
+func (h *Histogram) Add(o *Histogram) {
+	h.count += o.count
+	h.sum += o.sum
+	for i, n := range o.buckets {
+		h.buckets[i] += n
+	}
 }
 
-// Registry holds the cluster's metric slots and samplers. It is built once
-// at boot; registration is not safe concurrently with snapshots, which is
-// fine in a single-threaded discrete-event simulator.
+// Writer receives the metrics of every Source during one Snapshot.
+type Writer struct {
+	metrics []Metric
+}
+
+// Counter writes a monotonic count.
+func (w *Writer) Counter(name string, v uint64) {
+	w.metrics = append(w.metrics, Metric{Name: name, Kind: "counter", Value: v})
+}
+
+// Gauge writes a level (pool occupancy, live forwarder bytes).
+func (w *Writer) Gauge(name string, v uint64) {
+	w.metrics = append(w.metrics, Metric{Name: name, Kind: "gauge", Value: v})
+}
+
+// Histogram writes h with its non-empty buckets; its value is the
+// observation count.
+func (w *Writer) Histogram(name string, h *Histogram) {
+	out := Metric{Name: name, Kind: "histogram", Value: h.count, Count: h.count, Sum: h.sum}
+	for i, n := range h.buckets {
+		if n == 0 {
+			continue
+		}
+		le := uint64(0)
+		if i > 0 {
+			le = 1<<uint(i) - 1
+		}
+		out.Buckets = append(out.Buckets, Bucket{Le: le, N: n})
+	}
+	w.metrics = append(w.metrics, out)
+}
+
+// Registry is the cluster's list of metric sources: one per owner. It is
+// built once at boot; registration and snapshots must not run concurrently
+// with each other or with the simulation that mutates the owners (a
+// cluster snapshots between rounds).
 type Registry struct {
-	metrics []metric
-	names   map[string]struct{}
+	sources []func(*Writer)
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{names: make(map[string]struct{})}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
-func (r *Registry) register(m metric) {
-	if _, dup := r.names[m.name]; dup {
-		panic("obs: duplicate metric name " + m.name)
-	}
-	r.names[m.name] = struct{}{}
-	r.metrics = append(r.metrics, m)
-}
+// Source registers fn, which writes every metric of one owner each time a
+// snapshot is taken. The owner keeps the only live copy of each value.
+func (r *Registry) Source(fn func(*Writer)) { r.sources = append(r.sources, fn) }
 
-// Counter registers and returns a registry-owned counter slot.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.register(metric{name: name, kind: "counter", ctr: c})
-	return c
-}
-
-// Histogram registers and returns a registry-owned power-of-two histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	h := &Histogram{}
-	r.register(metric{name: name, kind: "histogram", hist: h})
-	return h
-}
-
-// Sample registers a counter whose value is read from fn at snapshot time.
-// This is how the registry adopts counters that already have an owner
-// (kernel.Stats fields, netw flat arrays): the owner keeps the only live
-// copy and the registry reads it cold, so the two can never disagree.
-func (r *Registry) Sample(name string, fn func() uint64) {
-	r.register(metric{name: name, kind: "counter", fn: fn})
-}
-
-// SampleGauge is Sample with gauge semantics: the value is a level (pool
-// occupancy, live forwarder bytes), not a monotonic count.
-func (r *Registry) SampleGauge(name string, fn func() uint64) {
-	r.register(metric{name: name, kind: "gauge", fn: fn, gauge: true})
-}
+// Sources returns the number of registered sources.
+func (r *Registry) Sources() int { return len(r.sources) }
 
 // Bucket is one histogram bucket in a snapshot: N observations with
 // values <= Le (Le = 2^i - 1; the zero bucket has Le = 0).
@@ -162,36 +139,22 @@ type Snapshot struct {
 	Metrics  []Metric `json:"metrics"`
 }
 
-// Snapshot reads every slot and sampler (cold) and returns a name-sorted
-// snapshot stamped with the given simulated time.
+// Snapshot runs every source (cold) and returns a name-sorted snapshot
+// stamped with the given simulated time. Two sources writing one name is a
+// wiring bug and panics.
 func (r *Registry) Snapshot(at sim.Time) Snapshot {
-	s := Snapshot{AtMicros: uint64(at), Metrics: make([]Metric, 0, len(r.metrics))}
-	for _, m := range r.metrics {
-		out := Metric{Name: m.name, Kind: m.kind}
-		switch {
-		case m.ctr != nil:
-			out.Value = m.ctr.v
-		case m.hist != nil:
-			out.Count = m.hist.count
-			out.Sum = m.hist.sum
-			out.Value = m.hist.count
-			for i, n := range m.hist.buckets {
-				if n == 0 {
-					continue
-				}
-				le := uint64(0)
-				if i > 0 {
-					le = 1<<uint(i) - 1
-				}
-				out.Buckets = append(out.Buckets, Bucket{Le: le, N: n})
-			}
-		default:
-			out.Value = m.fn()
-		}
-		s.Metrics = append(s.Metrics, out)
+	var w Writer
+	for _, src := range r.sources {
+		src(&w)
 	}
-	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].Name < s.Metrics[j].Name })
-	return s
+	ms := w.metrics
+	sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
+	for i := 1; i < len(ms); i++ {
+		if ms[i].Name == ms[i-1].Name {
+			panic("obs: duplicate metric name " + ms[i].Name)
+		}
+	}
+	return Snapshot{AtMicros: uint64(at), Metrics: ms}
 }
 
 // Get returns the metric with the given name, if present.

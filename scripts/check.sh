@@ -44,6 +44,15 @@ go run ./cmd/demosnet -trace >/dev/null 2>&1
 echo "== obs smoke export (metrics snapshot + Chrome timeline)"
 mkdir -p artifacts
 go run ./cmd/experiments -obs-json artifacts/obs_snapshot.json -trace-out artifacts/obs_timeline.json
+# Metric names and values are deterministic, so a regenerated snapshot that
+# differs from the checked-in copy is drift: commit it deliberately or fix
+# the wiring. Skipped outside a git checkout.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  if ! git diff --exit-code --stat -- artifacts/obs_snapshot.json; then
+    echo "FAIL: artifacts/obs_snapshot.json drifted from the checked-in copy" >&2
+    exit 1
+  fi
+fi
 
 echo "== policy tournament (short mode: 32 machines, 4 shards, seeded A/B arms)"
 go run ./cmd/experiments -tournament-short -tournament-json artifacts/tournament_findings.json
