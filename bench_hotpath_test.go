@@ -9,6 +9,7 @@
 package demosmp_test
 
 import (
+	"runtime"
 	"testing"
 
 	"demosmp/internal/addr"
@@ -19,6 +20,8 @@ import (
 	"demosmp/internal/obs"
 	"demosmp/internal/proc"
 	"demosmp/internal/sim"
+	"demosmp/internal/trace"
+	"demosmp/internal/workload"
 )
 
 // BenchmarkEngineSchedule is the tightest event-engine cycle: schedule one
@@ -345,6 +348,58 @@ func BenchmarkKernelForwardedSend(b *testing.B) {
 	}
 }
 
+// spawnExitKernel is one kernel wired like a cluster machine for the
+// process-lifecycle rows: obs plane attached and a 64-record trace ring,
+// so spawn/exit trace events are emitted (and mostly dropped) as in a
+// large run.
+func spawnExitKernel() (*sim.Engine, *kernel.Kernel) {
+	e := sim.NewEngine(1)
+	nw := netw.New(e, netw.Config{})
+	k := kernel.New(1, e, nw, kernel.Config{Tracer: trace.New(e.Now, 64)})
+	k.SetObs(obs.NewRegistry(), obs.NewLedger())
+	return e, k
+}
+
+// spawnExitCycle is one whole process life: Spawn, a slice that arms a
+// 10 µs timer, the timer's OpTimer delivery, and the exit. The test owns
+// the body and reuses it: the kernel drops its last reference at exit.
+func spawnExitCycle(tb testing.TB, e *sim.Engine, k *kernel.Kernel, job *workload.Job) {
+	job.Service, job.Armed = 10, false
+	if _, err := k.Spawn(kernel.SpawnSpec{Body: job}); err != nil {
+		tb.Fatal(err)
+	}
+	for e.Step() {
+	}
+}
+
+// BenchmarkKernelSpawnExit is one process lifecycle (spawnExitCycle) on a
+// warm kernel.
+func BenchmarkKernelSpawnExit(b *testing.B) {
+	e, k := spawnExitKernel()
+	job := &workload.Job{}
+	for i := 0; i < 256; i++ {
+		spawnExitCycle(b, e, k, job)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spawnExitCycle(b, e, k, job)
+	}
+}
+
+// allocsPerCycle is testing.AllocsPerRun without its truncation to a
+// whole number: the mean heap allocations per call of fn over runs calls.
+func allocsPerCycle(runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
 // TestMigrationSteadyStateAllocs is the dynamic guard behind the
 // //demos:hotpath annotations on the migration fast path (pooled
 // out/inMigration records, gather encoders, pooled streams, recycled
@@ -468,6 +523,21 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			runRounds(t, e, a, a.rounds+1)
 		}); n != 0 {
 			t.Fatalf("kernel local round trip allocates %.1f/op, want 0", n)
+		}
+	})
+	t.Run("kernel-spawn-exit", func(t *testing.T) {
+		// A process's whole life recycles its record, link table,
+		// queue, timer and envelopes. All that may still allocate is the
+		// amortized growth of the two pid-indexed slices (the dense
+		// process cache and the dense exit records), a few steps per
+		// thousands of cycles.
+		e, k := spawnExitKernel()
+		job := &workload.Job{}
+		for i := 0; i < 4096; i++ {
+			spawnExitCycle(t, e, k, job)
+		}
+		if n := allocsPerCycle(4000, func() { spawnExitCycle(t, e, k, job) }); n > 0.01 {
+			t.Fatalf("spawn+timer+exit allocates %.3f/cycle, want <= 0.01", n)
 		}
 	})
 	t.Run("admin-encode", func(t *testing.T) {

@@ -23,6 +23,7 @@ import (
 	"demosmp/internal/netw"
 	"demosmp/internal/obs"
 	"demosmp/internal/sim"
+	"demosmp/internal/trace"
 	"demosmp/internal/workload"
 )
 
@@ -66,6 +67,11 @@ type benchSample struct {
 	KernelLocalRTAllocsOp    float64 `json:"kernel_local_rt_allocs_op,omitempty"`
 	KernelMigrationAllocsOp  float64 `json:"kernel_migration_allocs_op"`
 	KernelPingPongMsgsPerSec float64 `json:"kernel_pingpong_msgs_per_sec,omitempty"`
+	// Process lifecycle: one op is Spawn, a slice arming a timer, the
+	// timer's delivery and the exit, on a kernel with a 64-record trace
+	// ring (the allocation rate is gated at 0 like the rows above).
+	KernelSpawnExitNsOp     float64 `json:"kernel_spawn_exit_ns_op,omitempty"`
+	KernelSpawnExitAllocsOp float64 `json:"kernel_spawn_exit_allocs_op,omitempty"`
 	// Policy tier: one op is a full 256-machine collector round plus the
 	// composite policy decide (see policybench.go).
 	PolicySweepNsOp       float64 `json:"policy_sweep_ns_op,omitempty"`
@@ -345,6 +351,26 @@ func measureKernel(s *benchSample) {
 			}
 		})
 	}
+	// Process lifecycle (mirrors BenchmarkKernelSpawnExit): one reused
+	// timer-driven job body, spawned and run to its exit per op.
+	{
+		e := sim.NewEngine(1)
+		k := kernel.New(1, e, netw.New(e, netw.Config{}), kernel.Config{Tracer: trace.New(e.Now, 64)})
+		k.SetObs(obs.NewRegistry(), obs.NewLedger())
+		job := &workload.Job{}
+		cycle := func(n int) {
+			for i := 0; i < n; i++ {
+				job.Service, job.Armed = 10, false
+				_, err := k.Spawn(kernel.SpawnSpec{Body: job})
+				die(err)
+				for e.Step() {
+				}
+			}
+		}
+		cycle(256)
+		s.KernelSpawnExitNsOp = timeIt(3, 200_000, cycle)
+		s.KernelSpawnExitAllocsOp = allocsPerOp(scaleIters(100_000), cycle)
+	}
 	// Forwarded send: every message addressed to a stale machine, taking
 	// the §4 forwarding hop m1 → m2 (forwarder) → m3.
 	{
@@ -442,6 +468,7 @@ func benchJSON(path string) {
 	row("kernel cross-machine ping-pong", seedBaseline.KernelPingPongNsOp, run.KernelPingPongNsOp)
 	row("kernel full migration (8 steps)", seedBaseline.KernelMigrationNsOp, run.KernelMigrationNsOp)
 	row("kernel forwarded send (§4 hop)", seedBaseline.KernelForwardNsOp, run.KernelForwardNsOp)
+	fmt.Printf("| kernel spawn+timer+exit | — | %.1f ns/op | |\n", run.KernelSpawnExitNsOp)
 	fmt.Printf("| policy sweep+decide (256 mach) | — | %.0f ns/op | |\n", run.PolicySweepNsOp)
 	fmt.Printf("| policy decisions/sec | — | %.0fk | |\n", run.PolicyDecisionsPerSec/1e3)
 	fmt.Printf("| kernel ping-pong msgs/sec | %.2fM | %.2fM | %.1fx |\n",
@@ -454,6 +481,7 @@ func benchJSON(path string) {
 	fmt.Printf("| kernel round-trip allocs/op | %.0f | %.0f | |\n",
 		seedBaseline.KernelLocalRTAllocsOp, run.KernelLocalRTAllocsOp)
 	fmt.Printf("| kernel migration allocs/op | | %.1f | |\n", run.KernelMigrationAllocsOp)
+	fmt.Printf("| kernel spawn+exit allocs/op | | %.2f | |\n", run.KernelSpawnExitAllocsOp)
 	printScale(sc)
 	printChaos(ch)
 }
@@ -476,6 +504,7 @@ func trackedRows(s *benchSample) []struct {
 		{"kernel cross-machine ping-pong", s.KernelPingPongNsOp},
 		{"kernel full migration (8 steps)", s.KernelMigrationNsOp},
 		{"kernel forwarded send (§4 hop)", s.KernelForwardNsOp},
+		{"kernel spawn+timer+exit", s.KernelSpawnExitNsOp},
 		{"policy sweep+decide (256 mach)", s.PolicySweepNsOp},
 	}
 }
@@ -542,6 +571,9 @@ func checkRegression(path string) {
 		{"kernel local round trip", min2(cur.KernelLocalRTAllocsOp, min2(second.KernelLocalRTAllocsOp, third.KernelLocalRTAllocsOp))},
 		{"netw lossless send+deliver", min2(cur.NetwSendAllocsOp, min2(second.NetwSendAllocsOp, third.NetwSendAllocsOp))},
 		{"engine schedule", min2(cur.EngineScheduleAllocsOp, min2(second.EngineScheduleAllocsOp, third.EngineScheduleAllocsOp))},
+		// Amortized growth of the dense pid-indexed slices is the only
+		// allocation left on this row, far below the 0.01 threshold.
+		{"kernel spawn+timer+exit", min2(cur.KernelSpawnExitAllocsOp, min2(second.KernelSpawnExitAllocsOp, third.KernelSpawnExitAllocsOp))},
 	}
 	for _, ar := range allocRows {
 		mark := ""

@@ -140,20 +140,17 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 		}
 		k.memUsed += img.Size()
 	}
-	p := &Process{
-		id:         pid,
-		body:       body,
-		kind:       kind,
-		links:      table,
-		image:      img,
-		privileged: res.privileged,
-		cpuUsed:    res.cpuUsed,
-		msgsIn:     res.msgsIn,
-		msgsOut:    res.msgsOut,
-		createdAt:  k.eng.Now(),
-		commTo:     make(map[addr.MachineID]uint64),
-		commDelta:  make(map[addr.MachineID]uint64),
-	}
+	p := k.getProcRec()
+	p.id = pid
+	p.body = body
+	p.kind = kind
+	p.links = table
+	p.image = img
+	p.privileged = res.privileged
+	p.cpuUsed = res.cpuUsed
+	p.msgsIn = res.msgsIn
+	p.msgsOut = res.msgsOut
+	p.createdAt = k.eng.Now()
 	k.addProc(p)
 	k.stats.Revived++
 	k.trace(trace.CatMigrate, "revive", fmt.Sprintf("%v as %v from %dB checkpoint",

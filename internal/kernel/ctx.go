@@ -77,11 +77,17 @@ func (c *procCtx) send(on link.ID, kind msg.Kind, op msg.Op, body []byte, carry 
 	}
 	c.p.msgsOut++
 	c.p.msgsDelta++
-	c.p.commTo[l.Addr.LastKnown]++
+	if c.p.commDelta == nil {
+		c.p.newCommDelta()
+	}
 	c.p.commDelta[l.Addr.LastKnown]++
 	k.route(m)
 	return nil
 }
+
+// newCommDelta makes a process's per-peer send counter on its first send
+// (cold: a pooled record keeps the map across reuse).
+func (p *Process) newCommDelta() { p.commDelta = make(map[addr.MachineID]uint64) }
 
 // errNoLink / errUnknownCarry hold send's fmt work off the hot path.
 func (c *procCtx) errNoLink(on link.ID) error {
@@ -254,18 +260,47 @@ func (c *procCtx) ImageWrite(off int, b []byte) error {
 
 // SetTimer delivers an OpTimer message to this process after d. The timer
 // is a normal routed message, so it follows the process through a
-// migration.
+// migration. Arming one allocates nothing in steady state: the record
+// comes from the kernel's timer free list with its fire method bound once.
 func (c *procCtx) SetTimer(d sim.Time, tag uint16) {
 	k := c.k
-	to := addr.At(c.p.id, k.machine)
-	body := binary.LittleEndian.AppendUint16(nil, tag)
-	k.eng.After(d, "kernel:timer", func() {
-		k.route(&msg.Message{
-			Kind: msg.KindControl, Op: msg.OpTimer,
-			From: addr.KernelAddr(k.machine), To: to,
-			Body: body,
-		})
-	})
+	t := k.timerFree
+	if t != nil {
+		k.timerFree = t.next
+		k.timerN--
+		t.next = nil
+	} else {
+		t = &timer{k: k}
+		t.fn = t.fire
+	}
+	t.to = addr.At(c.p.id, k.machine)
+	t.tag = tag
+	k.eng.After(d, "kernel:timer", t.fn)
+}
+
+// timer is a pooled SetTimer record.
+type timer struct {
+	k    *Kernel
+	to   addr.ProcessAddr
+	tag  uint16
+	fn   func() // t.fire, bound once
+	next *timer
+}
+
+// fire routes the OpTimer message in a pooled envelope. The record is
+// released first, so the delivery it triggers can rearm with it.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-spawn-exit in bench_hotpath_test.go.
+func (t *timer) fire() {
+	k, to, tag := t.k, t.to, t.tag
+	if k.timerN < freeListCap {
+		t.next = k.timerFree
+		k.timerFree = t
+		k.timerN++
+	}
+	m := k.newControl(msg.OpTimer, to)
+	m.Body = binary.LittleEndian.AppendUint16(m.Body[:0], tag)
+	k.route(m)
 }
 
 func (c *procCtx) Print(b []byte) {

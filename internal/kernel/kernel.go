@@ -11,6 +11,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 
 	"demosmp/internal/addr"
@@ -215,6 +216,11 @@ type Process struct {
 	// restored its own copy, its abort message yields this one; the
 	// flag clears when a late cleanup confirms the source committed.
 	timeoutCommit bool
+	// migHeld marks a record an out/in migration record still points at
+	// (om.p, im.p). A kill redelivered while that migration drains the
+	// held queue terminates the process, but terminate must not recycle
+	// the record under the migration's feet; it is left to the GC.
+	migHeld bool
 
 	// Forwarder fields (state == StateForwarder). obsRec, when the obs
 	// ledger is attached, is the migration this forwarder resulted from:
@@ -231,10 +237,11 @@ type Process struct {
 	cpuUsed        sim.Time
 	msgsIn         uint64
 	msgsOut        uint64
-	commTo         map[addr.MachineID]uint64
 	queueHighWater int
 
-	// Deltas since the last load report.
+	// Deltas since the last load report. commDelta (messages sent per
+	// peer machine) is made on the first send and cleared, not replaced,
+	// by each report, so a record keeps it across reuse.
 	cpuDelta  sim.Time
 	msgsDelta uint64
 	commDelta map[addr.MachineID]uint64
@@ -274,6 +281,14 @@ type ExitInfo struct {
 	Code int32
 	Err  error
 	At   sim.Time
+}
+
+// localExit is the dense form of an error-free ExitInfo (see
+// Kernel.localExits); ok tells a recorded exit from an unused slot.
+type localExit struct {
+	at   sim.Time
+	code int32
+	ok   bool
 }
 
 // SpawnSpec describes a process to create.
@@ -339,23 +354,28 @@ type Kernel struct {
 	xfersIn  map[uint16]*inStream // inbound streams, keyed by locally-allocated xfer id
 	moveOps  map[uint16]*moveOp   // outbound move-data writes awaiting completion
 
-	// Migration fast-path free lists (see DESIGN.md §7): steady-state
-	// migrations recycle their bookkeeping records — the out/in migration
-	// halves (with their region scratch buffers and once-bound watchdog
-	// closures), stream reassembly records, and whole Process records —
-	// so a warm kernel migrates without growing the heap. Records wiped
-	// wholesale by Restart (k.out/k.in reassignment) are simply orphaned
-	// to the GC; the free lists only ever hold released records.
+	// Lifecycle and migration free lists (see DESIGN.md §7): Spawn/exit
+	// and steady-state migrations recycle their bookkeeping records — the
+	// out/in migration halves (with their region scratch buffers and
+	// once-bound watchdog closures), stream reassembly records, whole
+	// Process records and SetTimer records — so a warm kernel creates,
+	// retires and migrates processes without growing the heap. Records
+	// wiped wholesale by Restart (k.out/k.in reassignment) are simply
+	// orphaned to the GC; the free lists only ever hold released records.
+	// procFree, tableFree and timerFree are capped at freeListCap so an
+	// idle kernel retains little.
 	omFree     *outMigration
 	imFree     *inMigration
 	streamFree *inStream
 	procFree   []*Process
-	// tableFree recycles link.Table backing between departures and
-	// arrivals: putProcRec donates a released record's table here and
-	// decodeSwappableInto rebuilds an arriving process's table into one.
-	// Kept off the pooled Process records so forwarders and ProcInfo never
-	// see a stale table.
+	// tableFree recycles link.Table backing between departures, exits,
+	// arrivals and spawns: putProcRec donates a released record's table
+	// here; decodeSwappableInto rebuilds an arriving process's table into
+	// one and Spawn resets one. Kept off the pooled Process records so
+	// forwarders and ProcInfo never see a stale table.
 	tableFree []*link.Table
+	timerFree *timer
+	timerN    int // records on timerFree
 	// kinds interns body-kind strings decoded from resident records, so a
 	// process bouncing between machines does not re-allocate its kind
 	// string on every arrival.
@@ -363,8 +383,13 @@ type Kernel struct {
 
 	pendingLocate map[addr.ProcessID][]*msg.Message
 	console       map[addr.ProcessID][]string
-	exits         map[addr.ProcessID]ExitInfo
-	doneMigs      []msg.MigrateDone // MigrateDone replies addressed to this kernel
+	// Exit records are split like procs/local: error-free exits of pids
+	// this machine created sit in the dense localExits, indexed by
+	// pid.Local; foreign pids and exits carrying an error use the map.
+	// Both survive Restart. Read them through exitOf.
+	exits      map[addr.ProcessID]ExitInfo
+	localExits []localExit
+	doneMigs   []msg.MigrateDone // MigrateDone replies addressed to this kernel
 
 	lastReportBusy sim.Time
 	lastReportAt   sim.Time
@@ -472,15 +497,20 @@ func (k *Kernel) Crash() {
 
 // Spawn creates a process and schedules it. Mirrors process creation in
 // DEMOS: the new process's only connections are the links it is given.
+// Like the paper's process, the kernel state it costs is a link table and
+// a queue, both recycled: the record and table come from the free lists
+// terminate returns them to.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-spawn-exit in bench_hotpath_test.go.
 func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 	if k.crashed {
-		return addr.NilPID, fmt.Errorf("kernel %v: crashed", k.machine)
+		return addr.NilPID, k.errCrashed()
 	}
 	var body proc.Body
 	var img *memory.Image
 	switch {
 	case spec.Program != nil && spec.Body != nil:
-		return addr.NilPID, fmt.Errorf("kernel: SpawnSpec has both Program and Body")
+		return addr.NilPID, errSpawnBoth
 	case spec.Program != nil:
 		var err error
 		img, err = spec.Program.BuildImage(k.swap)
@@ -494,34 +524,31 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 			img = memory.NewImage(spec.ImageSize, k.swap)
 		}
 	default:
-		return addr.NilPID, fmt.Errorf("kernel: SpawnSpec has neither Program nor Body")
+		return addr.NilPID, errSpawnNeither
 	}
 	imgSize := 0
 	if img != nil {
 		imgSize = img.Size()
 	}
 	if k.cfg.MemCapacity > 0 && k.memUsed+imgSize > k.cfg.MemCapacity {
-		return addr.NilPID, fmt.Errorf("kernel %v: out of memory (%d + %d > %d)",
-			k.machine, k.memUsed, imgSize, k.cfg.MemCapacity)
+		return addr.NilPID, k.errOutOfMemory(imgSize)
 	}
 
 	pid := addr.ProcessID{Creator: k.machine, Local: k.nextUID}
 	k.nextUID++
-	p := &Process{
-		id:         pid,
-		state:      StateReady,
-		body:       body,
-		kind:       body.Kind(),
-		links:      link.NewTable(k.cfg.LinkTableCap),
-		image:      img,
-		privileged: spec.Privileged,
-		createdAt:  k.eng.Now(),
-		commTo:     make(map[addr.MachineID]uint64),
-		commDelta:  make(map[addr.MachineID]uint64),
-	}
+	p := k.getProcRec()
+	p.id = pid
+	p.state = StateReady
+	p.body = body
+	p.kind = body.Kind()
+	p.links = k.getTable()
+	p.image = img
+	p.privileged = spec.Privileged
+	p.createdAt = k.eng.Now()
 	for _, l := range spec.Links {
 		if _, err := p.links.Insert(l); err != nil {
-			return addr.NilPID, fmt.Errorf("kernel: installing initial link: %w", err)
+			k.putProcRec(p)
+			return addr.NilPID, errInitialLink(err)
 		}
 	}
 	if mh, ok := body.(proc.MemoryHolder); ok && img != nil {
@@ -531,10 +558,38 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 	k.addProc(p)
 	k.stats.Spawned++
 	k.relieveMemory()
-	k.trace(trace.CatProc, "spawn", fmt.Sprintf("%v kind=%s image=%dB links=%d", pid, p.kind, imgSize, p.links.Len()))
+	k.cfg.Tracer.Emit(k.machine, trace.CatProc, "spawn", trace.Args{
+		Fmt: fmtSpawn, PID: pid, S: p.kind, A: int64(imgSize), B: int64(p.links.Len()),
+	})
 	k.enqueueRun(p)
 	return pid, nil
 }
+
+// Spawn's error returns, held off its hot path.
+var (
+	errSpawnBoth    = errors.New("kernel: SpawnSpec has both Program and Body")
+	errSpawnNeither = errors.New("kernel: SpawnSpec has neither Program nor Body")
+)
+
+func (k *Kernel) errCrashed() error { return fmt.Errorf("kernel %v: crashed", k.machine) }
+
+func (k *Kernel) errOutOfMemory(imgSize int) error {
+	return fmt.Errorf("kernel %v: out of memory (%d + %d > %d)",
+		k.machine, k.memUsed, imgSize, k.cfg.MemCapacity)
+}
+
+func errInitialLink(err error) error {
+	return fmt.Errorf("kernel: installing initial link: %w", err)
+}
+
+// Lifecycle trace details, formatted only when the trace is read.
+func fmtSpawn(a trace.Args) string {
+	return fmt.Sprintf("%v kind=%s image=%dB links=%d", a.PID, a.S, a.A, a.B)
+}
+
+func fmtExit(a trace.Args) string { return fmt.Sprintf("%v code=%d", a.PID, a.A) }
+
+func fmtCrash(a trace.Args) string { return fmt.Sprintf("%v: %v", a.PID, a.Err) }
 
 // Process returns a snapshot of a local process (or forwarder).
 func (k *Kernel) Process(pid addr.ProcessID) (ProcInfo, bool) {
@@ -598,9 +653,36 @@ func (k *Kernel) Console(pid addr.ProcessID) []string {
 }
 
 // Exit returns how a process ended on this machine, if it did.
-func (k *Kernel) Exit(pid addr.ProcessID) (ExitInfo, bool) {
+func (k *Kernel) Exit(pid addr.ProcessID) (ExitInfo, bool) { return k.exitOf(pid) }
+
+// exitOf reads an exit record from whichever store holds it (see
+// Kernel.localExits).
+func (k *Kernel) exitOf(pid addr.ProcessID) (ExitInfo, bool) {
+	if pid.Creator == k.machine && int(pid.Local) < len(k.localExits) {
+		if e := k.localExits[pid.Local]; e.ok {
+			return ExitInfo{Code: e.code, At: e.at}, true
+		}
+	}
 	e, ok := k.exits[pid]
 	return e, ok
+}
+
+// recordExit stores an exit record: dense for an error-free exit of a
+// locally created pid, the map otherwise. A pid exits at most once, so
+// the two stores never both hold it.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-spawn-exit in bench_hotpath_test.go.
+func (k *Kernel) recordExit(pid addr.ProcessID, code int32, err error) {
+	now := k.eng.Now()
+	if err != nil || pid.Creator != k.machine {
+		k.exits[pid] = ExitInfo{Code: code, Err: err, At: now}
+		return
+	}
+	i := int(pid.Local)
+	for i >= len(k.localExits) {
+		k.localExits = append(k.localExits, localExit{})
+	}
+	k.localExits[i] = localExit{at: now, code: code, ok: true}
 }
 
 // MintLinkTo fabricates a link to a process address — the trusted-system
@@ -893,59 +975,69 @@ func (d *pending) run() {
 }
 
 func (k *Kernel) trace(cat trace.Category, event, detail string) {
-	k.cfg.Tracer.Emit(k.machine, cat, event, detail)
+	k.cfg.Tracer.Emit(k.machine, cat, event, trace.Text(detail))
 }
 
-// getProcRec acquires a Process record for the migration path: recycled
-// when available (retaining the queue ring and accounting maps of a process
-// that previously migrated away), fresh otherwise. The record's links are
-// nil; incoming migrations restore a table via decodeSwappableInto and
+// freeListCap bounds the lifecycle free lists (procFree, tableFree,
+// timerFree) per kernel: enough to absorb the spawn/exit and migration
+// churn of a busy machine, small enough that an idle kernel retains
+// little. Records released beyond it go to the GC.
+const freeListCap = 8
+
+// getProcRec acquires a Process record for Spawn, revival and the
+// migration path: recycled when available (retaining the queue ring and
+// commDelta map of a process that exited or migrated away), fresh
+// otherwise. The record's links are nil; Spawn takes a table from
+// getTable, incoming migrations restore one via decodeSwappableInto, and
 // forwarders never hold one.
 //
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guards: TestMigrationSteadyStateAllocs and TestHotPathZeroAlloc/kernel-spawn-exit in bench_hotpath_test.go.
 func (k *Kernel) getProcRec() *Process {
 	if n := len(k.procFree); n > 0 {
 		p := k.procFree[n-1]
 		k.procFree[n-1] = nil
 		k.procFree = k.procFree[:n-1]
-		if p.commTo == nil {
-			p.commTo = make(map[addr.MachineID]uint64)
-		}
-		if p.commDelta == nil {
-			p.commDelta = make(map[addr.MachineID]uint64)
-		}
 		return p
 	}
-	return &Process{
-		commTo:    make(map[addr.MachineID]uint64),
-		commDelta: make(map[addr.MachineID]uint64),
-	}
+	return &Process{}
 }
 
 // putProcRec releases a Process record whose identity has left this kernel
-// (migrated away, failed incoming, superseded forwarder). The caller must
-// have drained the queue and removed the record from the tables; the ring
-// and maps survive for the next arrival, and the link table (if any) is
-// donated to tableFree for the next incoming restore.
+// (exited, migrated away, failed incoming, superseded forwarder). The
+// caller must have drained the queue and removed the record from the
+// tables; the ring and map survive for the next user, and the link table
+// (if any) is donated to tableFree.
 //
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guards: TestMigrationSteadyStateAllocs and TestHotPathZeroAlloc/kernel-spawn-exit in bench_hotpath_test.go.
 func (k *Kernel) putProcRec(p *Process) {
 	if p.queue.Len() != 0 {
 		return // defensive: never recycle a record with live messages
 	}
-	if p.links != nil && len(k.tableFree) < 8 {
+	if p.links != nil && len(k.tableFree) < freeListCap {
 		k.tableFree = append(k.tableFree, p.links)
 	}
 	q := p.queue
-	commTo, commDelta := p.commTo, p.commDelta
-	if commTo != nil {
-		clear(commTo)
-	}
+	commDelta := p.commDelta
 	if commDelta != nil {
 		clear(commDelta)
 	}
-	*p = Process{queue: q, commTo: commTo, commDelta: commDelta}
-	k.procFree = append(k.procFree, p)
+	*p = Process{queue: q, commDelta: commDelta}
+	if len(k.procFree) < freeListCap {
+		k.procFree = append(k.procFree, p)
+	}
+}
+
+// getTable returns an empty link table for a new or arriving process,
+// reset from tableFree when one is there.
+func (k *Kernel) getTable() *link.Table {
+	if n := len(k.tableFree); n > 0 {
+		t := k.tableFree[n-1]
+		k.tableFree[n-1] = nil
+		k.tableFree = k.tableFree[:n-1]
+		t.Reset(k.cfg.LinkTableCap)
+		return t
+	}
+	return link.NewTable(k.cfg.LinkTableCap)
 }
 
 // internKind canonicalizes a body-kind decoded from a resident record. The

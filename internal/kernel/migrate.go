@@ -124,6 +124,9 @@ func (k *Kernel) getOutMigration() *outMigration {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) putOutMigration(om *outMigration) {
+	if om.p != nil {
+		om.p.migHeld = false
+	}
 	resident, table := om.resident[:0], om.table[:0]
 	wd := om.wdFn
 	*om = outMigration{resident: resident, table: table, wdFn: wd}
@@ -148,6 +151,9 @@ func (k *Kernel) getInMigration() *inMigration {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) putInMigration(im *inMigration) {
+	if im.p != nil {
+		im.p.migHeld = false
+	}
 	bufs := im.bufs
 	for i := range bufs {
 		bufs[i] = bufs[i][:0]
@@ -328,6 +334,7 @@ func (k *Kernel) handleMigrateRequest(m *msg.Message) {
 
 	om := k.getOutMigration()
 	om.p, om.dest, om.requester = p, req.Dest, m.From
+	p.migHeld = true
 	om.rep = MigrationReport{
 		PID: p.id, From: k.machine, To: req.Dest, Start: k.eng.Now(),
 	}
@@ -426,7 +433,9 @@ func (k *Kernel) restoreFrozen(p *Process) {
 	default:
 		p.state = p.prevState
 	}
-	for n := p.queue.Len(); n > 0; n-- {
+	// A redelivered kill terminates the process and empties the queue
+	// mid-drain; the record stays intact (migHeld) for the caller.
+	for n := p.queue.Len(); n > 0 && p.state != StateDead; n-- {
 		k.deliverLocal(p.queue.pop())
 	}
 }
@@ -577,6 +586,7 @@ func (k *Kernel) handleMigrateEstablished(m *msg.Message) {
 	backPtr := p.cameFrom
 	k.delProc(pid)
 	k.putProcRec(p)
+	om.p = nil // recycled: om must not reach the record's next user
 	var fwd *Process
 	if k.cfg.Mode == ModeForward {
 		fwd = k.getProcRec()
@@ -759,6 +769,7 @@ func (k *Kernel) handleMigrateAsk(m *msg.Message) {
 	k.addProc(p)
 	im := k.getInMigration()
 	im.pid, im.src, im.ask, im.p = ask.PID, src, ask, p
+	p.migHeld = true
 	im.stage = msg.RegionResident
 	// Pre-warmed destination slots: size the region reassembly buffers
 	// from the announced (unit-rounded) sizes and top up the envelope
@@ -968,7 +979,7 @@ func (k *Kernel) commitIncoming(im *inMigration, forwarded int, viaTimeout bool)
 	// the kernel now; the rest rotate back to the tail for the process.
 	// The drain is bounded by the length at entry so rotated (and newly
 	// arriving) messages are not re-examined.
-	for n := p.queue.Len(); n > 0; n-- {
+	for n := p.queue.Len(); n > 0 && p.state != StateDead; n-- {
 		hm := p.queue.pop()
 		if hm.DTK {
 			k.kernelMsg(hm)
@@ -976,6 +987,12 @@ func (k *Kernel) commitIncoming(im *inMigration, forwarded int, viaTimeout bool)
 		} else {
 			p.queue.push(hm)
 		}
+	}
+	if p.state == StateDead {
+		// A held kill terminated the process; there is nothing to
+		// restart, and the record (migHeld) goes to the GC.
+		k.putInMigration(im)
+		return
 	}
 
 	switch p.prevState {
@@ -1121,13 +1138,7 @@ func (k *Kernel) decodeSwappableInto(p *Process, b []byte) ([]byte, error) {
 	}
 	t := p.links
 	if t == nil {
-		if nf := len(k.tableFree); nf > 0 {
-			t = k.tableFree[nf-1]
-			k.tableFree[nf-1] = nil
-			k.tableFree = k.tableFree[:nf-1]
-		} else {
-			t = &link.Table{}
-		}
+		t = k.getTable()
 	}
 	if err := link.RestoreTableInto(t, b[:n]); err != nil {
 		return nil, err

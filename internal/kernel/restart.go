@@ -337,7 +337,7 @@ func (k *Kernel) searchFallback(m *msg.Message) bool {
 	if m.Searched {
 		return false // one search per message: no reroute loops
 	}
-	if _, exited := k.exits[pid]; exited {
+	if _, exited := k.exitOf(pid); exited {
 		return false // authoritatively dead here
 	}
 	if pid.Creator != k.machine {
@@ -423,7 +423,7 @@ func (k *Kernel) handleSearchQuery(m *msg.Message) {
 		} else {
 			at = k.machine
 		}
-	} else if _, exited := k.exits[pm.PID]; exited {
+	} else if _, exited := k.exitOf(pm.PID); exited {
 		at = addr.NoMachine // authoritatively dead
 	} else {
 		return

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"fmt"
 	"sort"
 
 	"demosmp/internal/addr"
@@ -120,7 +119,10 @@ func (k *Kernel) runSlice() {
 
 // terminate removes a process and, when the paper's forwarding-address
 // garbage collection is enabled, sends a death notice backwards along the
-// migration path (§4).
+// migration path (§4). The record goes back to the free list unless a
+// migration still holds it (Process.migHeld).
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-spawn-exit in bench_hotpath_test.go.
 func (k *Kernel) terminate(p *Process, code int32, err error) {
 	p.state = StateDead
 	k.removeFromRunq(p)
@@ -131,18 +133,22 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 	for p.queue.Len() > 0 {
 		k.putMsg(p.queue.pop())
 	}
-	k.delProc(p.id)
-	delete(k.stable, p.id) // a dead process must not be revivable
-	k.exits[p.id] = ExitInfo{Code: code, Err: err, At: k.eng.Now()}
+	pid := p.id
+	k.delProc(pid)
+	delete(k.stable, pid) // a dead process must not be revivable
+	k.recordExit(pid, code, err)
 	if err != nil {
 		k.stats.Crashes++
-		k.trace(trace.CatProc, "crash", fmt.Sprintf("%v: %v", p.id, err))
+		k.cfg.Tracer.Emit(k.machine, trace.CatProc, "crash", trace.Args{Fmt: fmtCrash, PID: pid, Err: err})
 	} else {
 		k.stats.Exited++
-		k.trace(trace.CatProc, "exit", fmt.Sprintf("%v code=%d", p.id, code))
+		k.cfg.Tracer.Emit(k.machine, trace.CatProc, "exit", trace.Args{Fmt: fmtExit, PID: pid, A: int64(code)})
 	}
 	if k.cfg.ReclaimForwarders && p.cameFrom != addr.NoMachine {
-		k.sendDeathNoticeTo(p.id, p.cameFrom)
+		k.sendDeathNoticeTo(pid, p.cameFrom)
+	}
+	if !p.migHeld {
+		k.putProcRec(p)
 	}
 }
 
@@ -199,7 +205,7 @@ func (k *Kernel) sendLoadReport() {
 		rep.Procs = append(rep.Procs, pl)
 		p.cpuDelta = 0
 		p.msgsDelta = 0
-		p.commDelta = make(map[addr.MachineID]uint64)
+		clear(p.commDelta)
 	}
 	k.lastReportAt = now
 	k.lastReportBusy = k.stats.CPUBusy

@@ -266,3 +266,36 @@ func TestTableMatchesModel(t *testing.T) {
 		}
 	}
 }
+
+// TestTableResetReuses: Reset empties a table for a new owner and keeps
+// its backing, so IDs restart at 1 and no old link is visible.
+func TestTableResetReuses(t *testing.T) {
+	tb := NewTable(4)
+	for i := 0; i < 4; i++ {
+		if _, err := tb.Insert(Link{Addr: addr.At(addr.ProcessID{Creator: 1, Local: addr.LocalUID(i + 1)}, 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.Remove(2)
+	slots := &tb.slots[:cap(tb.slots)][0]
+	tb.Reset(2)
+	if tb.Len() != 0 || tb.Cap() != 2 {
+		t.Fatalf("after Reset: len %d cap %d", tb.Len(), tb.Cap())
+	}
+	for id := ID(1); id <= 4; id++ {
+		if _, ok := tb.Get(id); ok {
+			t.Fatalf("link %v survived Reset", id)
+		}
+	}
+	l := Link{Addr: addr.At(addr.ProcessID{Creator: 2, Local: 7}, 2)}
+	if id, err := tb.Insert(l); err != nil || id != 1 {
+		t.Fatalf("first insert after Reset = %v, %v; want l1", id, err)
+	}
+	if &tb.slots[0] != slots {
+		t.Fatal("Reset dropped the slot backing array")
+	}
+	tb.Insert(l)
+	if _, err := tb.Insert(l); err != ErrTableFull {
+		t.Fatalf("Reset capacity not enforced: %v", err)
+	}
+}

@@ -34,10 +34,26 @@ type Table struct {
 
 // NewTable returns an empty table bounded at capacity (DefaultCap if <= 0).
 func NewTable(capacity int) *Table {
+	t := &Table{}
+	t.Reset(capacity)
+	return t
+}
+
+// Reset empties t and bounds it at capacity (DefaultCap if <= 0), keeping
+// its slot and free-list backing arrays: Spawn gives a new process a table
+// a departed or exited one left behind without allocating.
+func (t *Table) Reset(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
-	return &Table{slots: make([]Link, 1, 8), cap: capacity}
+	if cap(t.slots) == 0 {
+		t.slots = make([]Link, 1, 8)
+	} else {
+		t.slots = t.slots[:1]
+	}
+	t.free = t.free[:0]
+	t.count = 0
+	t.cap = capacity
 }
 
 // Len returns the number of live links.

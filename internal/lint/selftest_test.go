@@ -76,6 +76,8 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Kernel.getPending", "pending.run",
 			// Scheduler.
 			"Kernel.maybeSchedule", "Kernel.runSlice", "Kernel.enqueueRun",
+			// Process lifecycle (pooled records, dense exits, timers).
+			"Kernel.Spawn", "Kernel.terminate", "Kernel.recordExit", "timer.fire",
 			// Syscall layer.
 			"procCtx.send", "procCtx.Recv",
 			// Move-data facility.

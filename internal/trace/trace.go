@@ -41,10 +41,48 @@ func (r Record) String() string {
 	return fmt.Sprintf("%-12v %-4v %-10s %-32s %s", r.T, r.Machine, r.Cat, r.Event, r.Detail)
 }
 
-// Tracer collects Records in a bounded ring. The zero value is a disabled
+// Args are an event's detail arguments. The ring keeps them raw and builds
+// Record.Detail only when a record is read (Records, Filter, Find, String),
+// so an event the bounded ring later drops never pays for formatting.
+type Args struct {
+	// Fmt renders the detail from the fields below; nil means the detail
+	// is S verbatim. It must be a pure function of its argument: it runs
+	// at read time, possibly long after the event.
+	Fmt  func(Args) string
+	PID  addr.ProcessID
+	A, B int64
+	S    string
+	Err  error
+}
+
+// Text is the Args of an already formatted detail string.
+func Text(detail string) Args { return Args{S: detail} }
+
+// Detail renders the detail string.
+func (a Args) Detail() string {
+	if a.Fmt == nil {
+		return a.S
+	}
+	return a.Fmt(a)
+}
+
+// entry is one retained event, detail still unformatted.
+type entry struct {
+	t     sim.Time
+	m     addr.MachineID
+	cat   Category
+	event string
+	args  Args
+}
+
+func (e *entry) record() Record {
+	return Record{T: e.t, Machine: e.m, Cat: e.cat, Event: e.event, Detail: e.args.Detail()}
+}
+
+// Tracer collects events in a bounded ring. The zero value is a disabled
 // tracer that drops everything, so hot paths can call Emit unconditionally.
 type Tracer struct {
-	recs    []Record
+	recs    []entry
 	max     int
 	dropped uint64
 	clock   func() sim.Time
@@ -58,19 +96,19 @@ func New(clock func() sim.Time, max int) *Tracer {
 	return &Tracer{max: max, clock: clock}
 }
 
-// Emit records an event. Safe on a nil Tracer.
-func (t *Tracer) Emit(m addr.MachineID, cat Category, event, detail string) {
+// Emit records an event. Safe on a nil Tracer. It stores args as given and
+// allocates nothing once the ring has reached its bound.
+func (t *Tracer) Emit(m addr.MachineID, cat Category, event string, args Args) {
 	if t == nil || t.clock == nil {
 		return
 	}
-	r := Record{T: t.clock(), Machine: m, Cat: cat, Event: event, Detail: detail}
 	if len(t.recs) >= t.max {
 		// Drop the oldest half to amortize.
 		copy(t.recs, t.recs[len(t.recs)/2:])
 		t.recs = t.recs[:len(t.recs)-len(t.recs)/2]
 		t.dropped++
 	}
-	t.recs = append(t.recs, r)
+	t.recs = append(t.recs, entry{t: t.clock(), m: m, cat: cat, event: event, args: args})
 }
 
 // Emitf is Emit with a formatted detail string.
@@ -78,15 +116,19 @@ func (t *Tracer) Emitf(m addr.MachineID, cat Category, event, format string, arg
 	if t == nil {
 		return
 	}
-	t.Emit(m, cat, event, fmt.Sprintf(format, args...))
+	t.Emit(m, cat, event, Text(fmt.Sprintf(format, args...)))
 }
 
-// Records returns a copy of the retained records in emission order.
+// Records returns the retained records in emission order.
 func (t *Tracer) Records() []Record {
-	if t == nil {
+	if t == nil || len(t.recs) == 0 {
 		return nil
 	}
-	return append([]Record(nil), t.recs...)
+	out := make([]Record, len(t.recs))
+	for i := range t.recs {
+		out[i] = t.recs[i].record()
+	}
+	return out
 }
 
 // Filter returns the retained records in cat, in order.
@@ -95,9 +137,9 @@ func (t *Tracer) Filter(cat Category) []Record {
 	if t == nil {
 		return out
 	}
-	for _, r := range t.recs {
-		if r.Cat == cat {
-			out = append(out, r)
+	for i := range t.recs {
+		if t.recs[i].cat == cat {
+			out = append(out, t.recs[i].record())
 		}
 	}
 	return out
@@ -111,9 +153,9 @@ func (t *Tracer) Events(cat Category) []string {
 	if t == nil {
 		return out
 	}
-	for _, r := range t.recs {
-		if cat == "" || r.Cat == cat {
-			out = append(out, r.Event)
+	for i := range t.recs {
+		if cat == "" || t.recs[i].cat == cat {
+			out = append(out, t.recs[i].event)
 		}
 	}
 	return out
@@ -122,9 +164,9 @@ func (t *Tracer) Events(cat Category) []string {
 // Find returns the first record with the given event name.
 func (t *Tracer) Find(event string) (Record, bool) {
 	if t != nil {
-		for _, r := range t.recs {
-			if r.Event == event {
-				return r, true
+		for i := range t.recs {
+			if t.recs[i].event == event {
+				return t.recs[i].record(), true
 			}
 		}
 	}
@@ -135,8 +177,8 @@ func (t *Tracer) Find(event string) (Record, bool) {
 func (t *Tracer) Count(event string) int {
 	n := 0
 	if t != nil {
-		for _, r := range t.recs {
-			if r.Event == event {
+		for i := range t.recs {
+			if t.recs[i].event == event {
 				n++
 			}
 		}
@@ -150,8 +192,8 @@ func (t *Tracer) String() string {
 		return ""
 	}
 	var b strings.Builder
-	for _, r := range t.recs {
-		b.WriteString(r.String())
+	for i := range t.recs {
+		b.WriteString(t.recs[i].record().String())
 		b.WriteByte('\n')
 	}
 	return b.String()
